@@ -161,15 +161,6 @@ Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> bas
   sol.warm_started = warm;
   const int m = model.num_constraints();
 
-  // Candidate-column pruning applies to warm solves only: the cold path
-  // (including the cold fallback after a rejected warm attempt) always
-  // prices every column, so a mask can never make it diverge from the
-  // historical pivot sequence. A mask not sized to this model's structural
-  // column count is stale — ignore it.
-  const std::vector<std::uint8_t>* candidate_mask = nullptr;
-  if (warm && static_cast<int>(options.candidate_mask.size()) == t.n_structural)
-    candidate_mask = &options.candidate_mask;
-
   std::vector<bool> in_basis(static_cast<std::size_t>(t.n_total), false);
   for (const int j : basis) in_basis[static_cast<std::size_t>(j)] = true;
 
@@ -219,7 +210,6 @@ Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> bas
     if (t.artificial[static_cast<std::size_t>(j)]) phase1_cost[static_cast<std::size_t>(j)] = 1.0;
 
   auto run_phase = [&](const std::vector<double>& cost, bool block_artificials,
-                       const std::vector<std::uint8_t>* mask,
                        int& iteration_counter) -> SolveStatus {
     int degenerate_streak = 0;
     // Remaining pivots in the current Bland's-rule burst (0 = Dantzig).
@@ -230,20 +220,6 @@ Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> bas
     int bland_left = 0;
     std::vector<double> y(static_cast<std::size_t>(m));
     std::vector<double> alpha(static_cast<std::size_t>(m));
-    // Active candidate set under pruning: a copy of the mask so that
-    // verification sweeps can promote columns into it. Non-structural
-    // columns (slacks) are always active.
-    std::vector<std::uint8_t> active;
-    if (mask) {
-      active = *mask;
-      int pruned = 0;
-      for (const std::uint8_t keep : active)
-        if (!keep) ++pruned;
-      sol.pruned_columns = pruned;
-    }
-    const auto masked_out = [&](int j) {
-      return mask && j < t.n_structural && !active[static_cast<std::size_t>(j)];
-    };
     // Partial (cyclic) pricing: scan a window of columns per iteration,
     // remembering where we stopped. A full fruitless sweep proves
     // optimality. Bland mode falls back to a full first-negative scan.
@@ -270,7 +246,6 @@ Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> bas
       auto price = [&](int j) {
         if (in_basis[static_cast<std::size_t>(j)]) return false;
         if (block_artificials && t.artificial[static_cast<std::size_t>(j)]) return false;
-        if (masked_out(j)) return false;
         const double dj = cost[static_cast<std::size_t>(j)] - t.a.dot_column(j, y);
         if (dj < best_dj) {
           best_dj = dj;
@@ -283,7 +258,6 @@ Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> bas
         for (int j = 0; j < t.n_total; ++j) {
           if (in_basis[static_cast<std::size_t>(j)]) continue;
           if (block_artificials && t.artificial[static_cast<std::size_t>(j)]) continue;
-          if (masked_out(j)) continue;
           const double dj = cost[static_cast<std::size_t>(j)] - t.a.dot_column(j, y);
           if (dj < -options.optimality_tol) {
             entering = j;
@@ -298,26 +272,6 @@ Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> bas
           scanned += stop - scan_cursor;
           scan_cursor = stop == t.n_total ? 0 : stop;
           if (entering >= 0) break;  // found an attractive column in window
-        }
-      }
-      if (entering < 0 && mask) {
-        // Verification sweep: the active set priced clean, but optimality
-        // holds only over every column. Price the pruned columns with the
-        // same y; the most attractive (if any) is promoted into the active
-        // set and pricing continues, so pruning can never change the
-        // optimum — only the order columns are considered in.
-        for (int j = 0; j < t.n_structural; ++j) {
-          if (active[static_cast<std::size_t>(j)] || in_basis[static_cast<std::size_t>(j)])
-            continue;
-          const double dj = cost[static_cast<std::size_t>(j)] - t.a.dot_column(j, y);
-          if (dj < best_dj) {
-            best_dj = dj;
-            entering = j;
-          }
-        }
-        if (entering >= 0) {
-          active[static_cast<std::size_t>(entering)] = 1;
-          ++sol.promoted_columns;
         }
       }
       if (entering < 0) return SolveStatus::kOptimal;
@@ -646,8 +600,8 @@ Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> bas
       if (t.artificial[static_cast<std::size_t>(j)]) need_phase1 = true;
   if (need_phase1) {
     const auto p1_start = std::chrono::steady_clock::now();
-    const SolveStatus s1 = run_phase(phase1_cost, /*block_artificials=*/false,
-                                     /*mask=*/nullptr, sol.phase1_iterations);
+    const SolveStatus s1 =
+        run_phase(phase1_cost, /*block_artificials=*/false, sol.phase1_iterations);
     sol.phase1_seconds += seconds_since(p1_start);
     sol.iterations += sol.phase1_iterations;
     if (s1 == SolveStatus::kIterationLimit || s1 == SolveStatus::kNumericalFailure) {
@@ -667,7 +621,7 @@ Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> bas
   // ---- Phase 2 (artificials blocked from re-entering).
   int phase2_iters = 0;
   const auto p2_start = std::chrono::steady_clock::now();
-  const SolveStatus s2 = run_phase(t.cost, /*block_artificials=*/true, candidate_mask, phase2_iters);
+  const SolveStatus s2 = run_phase(t.cost, /*block_artificials=*/true, phase2_iters);
   sol.phase2_seconds += seconds_since(p2_start);
   sol.iterations += phase2_iters;
   if (s2 != SolveStatus::kOptimal) {
@@ -699,8 +653,8 @@ Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> bas
   sol.objective = model.objective_value(sol.x);
   sol.status = SolveStatus::kOptimal;
   sol.basis = export_basis(t, basis);
-  // Row duals y = B^{-T} c_B at the optimal basis, for callers that seed
-  // the next solve's candidate mask from this one's reduced costs.
+  // Row duals y = B^{-T} c_B at the optimal basis, priced with the
+  // phase-2 costs.
   sol.duals.assign(static_cast<std::size_t>(m), 0.0);
   for (int i = 0; i < m; ++i)
     sol.duals[static_cast<std::size_t>(i)] =

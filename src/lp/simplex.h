@@ -72,14 +72,6 @@ struct SolveOptions {
   // the cold solve they fall back to anyway.
   double warm_repair_limit = 0.1;
   PivotMode pivot_mode = PivotMode::kAuto;
-  // Candidate-column pruning (warm solves only; cold paths ignore it).
-  // When sized to the model's structural column count, phase-2 pricing
-  // skips structural columns with mask 0 until a full verification sweep
-  // finds one attractive — it is then promoted and pricing continues — so
-  // the final optimum is exactly the unpruned one. Sized wrong, the mask
-  // is ignored. Sourced from the previous solve's reduced costs by
-  // titannext::solve_plan (docs/solver.md, "Candidate-column pruning").
-  std::vector<std::uint8_t> candidate_mask;
   bool verbose = false;
 };
 
@@ -118,11 +110,6 @@ struct Solution {
   // Deterministic companions to `iterations`.
   int stall_pivots = 0;
   int bland_pivots = 0;
-  // Candidate-column pruning: structural columns the mask excluded from
-  // phase-2 pricing, and how many of those a verification sweep had to
-  // promote back. pruned > 0 with promoted == 0 is the ideal warm solve.
-  int pruned_columns = 0;
-  int promoted_columns = 0;
   double solve_seconds = 0.0;
   // Phase breakdown of solve_seconds (wall clock; solve_seconds also
   // covers tableau construction and basis mapping, so the parts do not sum
@@ -140,7 +127,6 @@ struct Solution {
   bool warm_started = false;  // solved from a caller basis (phase 1 skipped)
   // Row duals y (one per constraint, model row order) at the optimal
   // basis, priced with the phase-2 costs. Empty unless status == kOptimal.
-  // Callers derive reduced costs d_j = c_j - a_j'y for column pruning.
   std::vector<double> duals;
 };
 

@@ -514,7 +514,6 @@ SimResult SimEngine::run(int threads) {
       stat.phase1_iterations = current_plan_.lp_phase1_iterations;
       stat.dual_iterations = current_plan_.lp_dual_iterations;
       stat.blocks_solved = current_plan_.lp_blocks_solved;
-      stat.pruned_columns = current_plan_.lp_pruned_columns;
       stat.warm_started = current_plan_.lp_warm_started;
       stat.forced = force_replan;
       stat.attempts = current_plan_.lp_attempts;

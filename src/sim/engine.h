@@ -54,11 +54,11 @@ struct ReplanStat {
   int phase1_iterations = 0;     // phase-1 share (for warm solves: the
                                  // feasibility-restoration iterations)
   // Deterministic scale-out counters of the accepted solve: dual-simplex
-  // pivots (disturbance replans repaired by the dual pivot loop), region
-  // blocks solved by the decomposed path (0 = monolithic), and structural
-  // columns the candidate mask kept out of pricing.
+  // pivots (disturbance replans repaired by the dual pivot loop) and region
+  // blocks solved by the decomposed path (0 = monolithic).
   int dual_iterations = 0;
   int blocks_solved = 0;
+  // Always 0: candidate-column pruning is gone; perfbench still reads it.
   int pruned_columns = 0;
   bool warm_started = false;
   // True when this replan was disturbance-forced (a network event, not the

@@ -83,7 +83,8 @@ struct LpPlanResult {
   int dual_iterations = 0;
   int stall_pivots = 0;
   int bland_pivots = 0;
-  int pruned_columns = 0;
+  // Always 0: candidate-column pruning was measured never to prune and
+  // removed; kept because perfbench/titan_perfbench.cc reads it.
   int promoted_columns = 0;
   // Region blocks solved to optimality by the decomposed path; 0 for a
   // monolithic solve (the coupling LP is not counted as a block).
@@ -116,12 +117,6 @@ struct PlanBasisContext {
   // (replan interval == horizon, the test cadence) transfer nothing and
   // deliberately fall back to a cold solve.
   core::SlotIndex plan_begin = 0;
-  // Reduced costs d_j >= 0 of every structural column of the solved model
-  // (assignment variables then peak variables, model order), derived from
-  // the optimal duals. The next warm solve maps them through the same
-  // label translation as the basis to build its candidate-column mask
-  // (docs/solver.md, "Candidate-column pruning"). Empty disables pruning.
-  std::vector<double> reduced_costs;
   [[nodiscard]] bool valid() const { return !basis.empty(); }
 };
 

@@ -727,40 +727,5 @@ TEST(SimplexWarmTest, AllArtificialSeedFallsBackCold) {
   EXPECT_NEAR(b.objective, 3.0, 1e-7);
 }
 
-// --- candidate-column pruning ----------------------------------------------
-
-// A warm solve under a candidate mask prices only the kept columns yet must
-// reach exactly the unpruned optimum (the verification sweep promotes any
-// pruned column that turns attractive).
-TEST(SimplexWarmTest, CandidateMaskPreservesOptimality) {
-  const std::uint64_t model_seed = 81;
-  core::Rng rng_a(model_seed), rng_b(model_seed);
-  const LpModel before = warm_test_model(rng_a, 10, 7, 1.0);
-  const LpModel after = warm_test_model(rng_b, 10, 7, 1.1);
-
-  const Solution base = solve(before);
-  ASSERT_EQ(base.status, SolveStatus::kOptimal);
-  const Solution cold = solve(after);
-  ASSERT_EQ(cold.status, SolveStatus::kOptimal);
-
-  // Keep only the columns basic in the predecessor; prune the rest.
-  SolveOptions opt;
-  opt.candidate_mask.assign(static_cast<std::size_t>(after.num_variables()), 0);
-  for (const auto& e : base.basis.entries)
-    if (e.kind == BasisEntry::Kind::kStructural)
-      opt.candidate_mask[static_cast<std::size_t>(e.index)] = 1;
-
-  const Solution warm = solve(after, base.basis, opt);
-  ASSERT_EQ(warm.status, SolveStatus::kOptimal);
-  EXPECT_GT(warm.pruned_columns, 0);
-  EXPECT_NEAR(warm.objective, cold.objective, 1e-6 * (1.0 + std::abs(cold.objective)));
-  EXPECT_LE(after.max_violation(warm.x), 1e-6);
-
-  // Cold solves ignore the mask entirely.
-  const Solution masked_cold = solve(after, opt);
-  ASSERT_EQ(masked_cold.status, SolveStatus::kOptimal);
-  EXPECT_EQ(masked_cold.pruned_columns, 0);
-}
-
 }  // namespace
 }  // namespace titan::lp
