@@ -18,25 +18,6 @@
 
 namespace {
 
-// --lp-mode: pin the solver strategy for A/B runs. "auto" keeps the solver
-// defaults (dual warm starts when the seed is dual-feasible, decomposition
-// on multi-region scopes); "primal" is the historical primal-only path;
-// "dual" demands dual warm repairs (cold fallback otherwise); "decomposed"
-// forces region-block decomposition even on single-region scopes.
-void apply_lp_mode(const titan::bench::Cli& cli, titan::titannext::PipelineOptions* pipeline) {
-  using titan::lp::PivotMode;
-  using titan::titannext::Decomposition;
-  if (cli.lp_mode == "primal") {
-    pipeline->lp.solver.pivot_mode = PivotMode::kPrimal;
-    pipeline->lp.decomposition = Decomposition::kOff;
-  } else if (cli.lp_mode == "dual") {
-    pipeline->lp.solver.pivot_mode = PivotMode::kDual;
-    pipeline->lp.decomposition = Decomposition::kOff;
-  } else if (cli.lp_mode == "decomposed") {
-    pipeline->lp.decomposition = Decomposition::kForce;
-  }
-}
-
 titan::sim::SimResult run_one(const std::string& name, const titan::bench::Cli& cli,
                               titan::obs::TraceRecorder* trace) {
   using namespace titan;
@@ -44,7 +25,6 @@ titan::sim::SimResult run_one(const std::string& name, const titan::bench::Cli& 
   scenario.seed = cli.seed;
   scenario.training_weeks = cli.training_weeks();
   scenario.peak_slot_calls = cli.peak_or(1200.0);  // paper-shaped volume
-  apply_lp_mode(cli, &scenario.pipeline);
 
   sim::SimEngine engine(scenario);
   engine.set_trace(trace);
@@ -144,7 +124,6 @@ ReplanDrill run_replan_drill(const std::string& name, const titan::bench::Cli& c
   s.eval_days = 1;
   s.peak_slot_calls = 0.5 * cli.peak_or(200.0);
   s.oracle_counts = true;
-  apply_lp_mode(cli, &s.pipeline);
   s.pipeline.scope.timeslots = std::min(s.pipeline.scope.timeslots, core::kSlotsPerDay / 2);
   s.pipeline.scope.max_reduced_configs = std::min(s.pipeline.scope.max_reduced_configs, 20);
   // Production-style rolling cadence: replan every eighth of the horizon

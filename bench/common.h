@@ -43,12 +43,6 @@ namespace titan::bench {
 //                 informationally — never changes the exit code
 //   --trace-out PATH  Chrome trace_event JSON of the runs' phase spans,
 //                 loadable in Perfetto (bench_sim_scenarios only)
-//   --lp-mode M   LP solve strategy (sim benches only): auto (default:
-//                 solver picks dual-vs-primal warm starts and decomposes
-//                 multi-region scopes), primal (historical primal-only
-//                 path, no decomposition), dual (force dual warm starts,
-//                 no decomposition), decomposed (force region-block
-//                 decomposition even on single-region scopes)
 //   --list-scenarios  print the scenario library and exit (sim benches only)
 // Open-loop latency harness (`bench_assign_latency`) extras
 // (docs/observability.md, "Assignment-latency budget"):
@@ -95,7 +89,6 @@ struct Cli {
   std::string perf_json_path;
   std::string perf_baseline_path;
   std::string trace_out_path;
-  std::string lp_mode = "auto";  // auto | primal | dual | decomposed
   // Open-loop latency harness (bench_assign_latency) only.
   double rate_per_sec = 50000.0;
   double warmup_sec = 0.5;
@@ -233,13 +226,6 @@ inline CliParse parse_cli_args(int argc, char** argv,
       if ((v = value())) cli.perf_baseline_path = v;
     } else if (is("--trace-out")) {
       if ((v = value())) cli.trace_out_path = v;
-    } else if (is("--lp-mode")) {
-      if ((v = value())) {
-        cli.lp_mode = v;
-        if (cli.lp_mode != "auto" && cli.lp_mode != "primal" && cli.lp_mode != "dual" &&
-            cli.lp_mode != "decomposed")
-          fail("--lp-mode must be one of: auto primal dual decomposed");
-      }
     } else if (is("--rate")) {
       if ((v = value())) {
         cli.rate_per_sec = std::atof(v);
@@ -317,7 +303,6 @@ inline CliParse parse_cli_args(int argc, char** argv,
                       " [--seed N] [--weeks N] [--threads N] [--peak X] [--scenario S]"
                       " [--json PATH] [--replan-json PATH] [--perf-json PATH]"
                       " [--perf-baseline PATH] [--trace-out PATH]"
-                      " [--lp-mode auto|primal|dual|decomposed]"
                       " [--rate X] [--warmup-sec X] [--measure-sec X] [--cooldown-sec X]"
                       " [--seeds N] [--scenarios A,B|all]"
                       " [--sim-threads L]"

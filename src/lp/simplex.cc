@@ -144,17 +144,19 @@ Basis export_basis(const Tableau& t, const std::vector<int>& basis) {
   return out;
 }
 
-// Runs the simplex from `basis`. Cold starts (warm == false) begin with the
-// canonical slack/artificial basis and run phase 1 when artificials are
-// present; warm starts skip phase 1 but *gate* on the seeded basis being
-// factorizable and primal-feasible, reporting kNumericalFailure otherwise
-// so the caller can rerun cold.
 // Seconds elapsed since `t0` (steady clock); the one timing idiom the
 // phase instrumentation below uses.
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
 
+// Runs the simplex from `basis`. Cold starts (warm == false) begin with the
+// canonical slack/artificial basis and run phase 1 when artificials are
+// present. Warm starts skip the classic phase 1: a primal-feasible seed
+// goes straight to phase 2, a damaged one is repaired by the restoration
+// pass under the warm_repair_limit gate. A seed that does not factorize,
+// exceeds the gate or fails to repair reports kNumericalFailure so the
+// caller can rerun cold.
 Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> basis, bool warm,
                     const SolveOptions& options) {
   Solution sol;
@@ -184,23 +186,19 @@ Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> bas
   std::vector<double> xb = t.rhs;
   lu.ftran(xb);
 
-  // Classify the primal damage a warm seed carries. Two kinds survive a
-  // basis transfer: hot artificials (rows the transfer never covered — the
-  // fresh tail of a rolling horizon) and negative basic values (rhs drift:
-  // a capacity cut, a drained DC, a transferred link-peak variable sitting
-  // below the shifted window's new peak). Which repair path runs — and
-  // whether the warm_repair_limit gate applies — is decided at the phase-1
-  // dispatch below.
-  int artificials_hot = 0;
-  int negative_rows = 0;
+  // Count the primal damage a warm seed carries. Two kinds survive a basis
+  // transfer: hot artificials (rows the transfer never covered — the fresh
+  // tail of a rolling horizon) and negative basic values (rhs drift: a
+  // capacity cut, a drained DC, a transferred link-peak variable sitting
+  // below the shifted window's new peak). Both are repaired by the
+  // restoration pass below, within the warm_repair_limit gate.
+  int damaged_rows = 0;
   if (warm) {
     for (int i = 0; i < m; ++i) {
       const double v = xb[static_cast<std::size_t>(i)];
-      if (v < -options.feasibility_tol)
-        ++negative_rows;
-      else if (t.artificial[static_cast<std::size_t>(basis[static_cast<std::size_t>(i)])] &&
-               v > 1e-6)
-        ++artificials_hot;
+      if (v < -options.feasibility_tol ||
+          (t.artificial[static_cast<std::size_t>(basis[static_cast<std::size_t>(i)])] && v > 1e-6))
+        ++damaged_rows;
     }
   }
 
@@ -208,6 +206,26 @@ Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> bas
   std::vector<double> phase1_cost(static_cast<std::size_t>(t.n_total), 0.0);
   for (int j = 0; j < t.n_total; ++j)
     if (t.artificial[static_cast<std::size_t>(j)]) phase1_cost[static_cast<std::size_t>(j)] = 1.0;
+
+  // Applies one pivot — `entering` replaces the basic of row `leaving`,
+  // with step `theta` along the FTRAN'd column `alpha` — and refactorizes
+  // when the eta file is full or the update is unstable, recomputing x_B
+  // from scratch. False when that refactorization fails.
+  const auto apply_pivot = [&](int entering, int leaving, double theta,
+                               const std::vector<double>& alpha) -> bool {
+    for (int i = 0; i < m; ++i)
+      xb[static_cast<std::size_t>(i)] -= theta * alpha[static_cast<std::size_t>(i)];
+    xb[static_cast<std::size_t>(leaving)] = theta;
+    in_basis[static_cast<std::size_t>(basis[static_cast<std::size_t>(leaving)])] = false;
+    in_basis[static_cast<std::size_t>(entering)] = true;
+    basis[static_cast<std::size_t>(leaving)] = entering;
+    if (lu.update(leaving, alpha, options.pivot_tol) && lu.eta_count() < options.refactor_interval)
+      return true;
+    if (!timed_factorize(lu)) return false;
+    xb = t.rhs;
+    lu.ftran(xb);
+    return true;
+  };
 
   auto run_phase = [&](const std::vector<double>& cost, bool block_artificials,
                        int& iteration_counter) -> SolveStatus {
@@ -315,20 +333,8 @@ Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> bas
         bland_left = 0;
       }
 
-      // Apply the pivot.
-      for (int i = 0; i < m; ++i) xb[static_cast<std::size_t>(i)] -= theta * alpha[static_cast<std::size_t>(i)];
-      xb[static_cast<std::size_t>(leaving)] = theta;
-      in_basis[static_cast<std::size_t>(basis[static_cast<std::size_t>(leaving)])] = false;
-      in_basis[static_cast<std::size_t>(entering)] = true;
-      basis[static_cast<std::size_t>(leaving)] = entering;
       ++iteration_counter;
-
-      const bool updated = lu.update(leaving, alpha, options.pivot_tol);
-      if (!updated || lu.eta_count() >= options.refactor_interval) {
-        if (!timed_factorize(lu)) return SolveStatus::kNumericalFailure;
-        xb = t.rhs;
-        lu.ftran(xb);
-      }
+      if (!apply_pivot(entering, leaving, theta, alpha)) return SolveStatus::kNumericalFailure;
     }
   };
 
@@ -411,187 +417,29 @@ Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> bas
       }
       if (leaving < 0) return false;
 
-      for (int i = 0; i < m; ++i)
-        xb[static_cast<std::size_t>(i)] -= theta * alpha[static_cast<std::size_t>(i)];
-      xb[static_cast<std::size_t>(leaving)] = theta;
-      in_basis[static_cast<std::size_t>(basis[static_cast<std::size_t>(leaving)])] = false;
-      in_basis[static_cast<std::size_t>(entering)] = true;
-      basis[static_cast<std::size_t>(leaving)] = entering;
       ++iteration_counter;
-
-      const bool updated = lu.update(leaving, alpha, options.pivot_tol);
-      if (!updated || lu.eta_count() >= options.refactor_interval) {
-        if (!timed_factorize(lu)) return false;
-        xb = t.rhs;
-        lu.ftran(xb);
-      }
-    }
-  };
-
-  // Dual-feasibility probe for a warm seed: one BTRAN plus a full pricing
-  // pass with the phase-2 costs. True iff no nonbasic non-artificial
-  // column is attractive — exactly the state a previously *optimal* basis
-  // is left in by rhs-side changes (capacity cuts, bound shifts), which is
-  // why disturbance-forced replans are the dual loop's target.
-  const auto dual_feasible = [&]() -> bool {
-    std::vector<double> y(static_cast<std::size_t>(m));
-    for (int i = 0; i < m; ++i)
-      y[static_cast<std::size_t>(i)] =
-          t.cost[static_cast<std::size_t>(basis[static_cast<std::size_t>(i)])];
-    lu.btran(y);
-    for (int j = 0; j < t.n_total; ++j) {
-      if (in_basis[static_cast<std::size_t>(j)] || t.artificial[static_cast<std::size_t>(j)])
-        continue;
-      if (t.cost[static_cast<std::size_t>(j)] - t.a.dot_column(j, y) < -options.optimality_tol)
-        return false;
-    }
-    return true;
-  };
-
-  // Dual simplex: from a dual-feasible basis, drive the negative basics
-  // out while keeping every reduced cost nonnegative. Leaving row = most
-  // negative basic value; entering column = the dual ratio test's minimum
-  // d_j / (-alpha_rj) over nonbasic non-artificial columns with
-  // alpha_rj < -pivot_tol (ascending-j scan, so ties go to the smallest
-  // index — deterministic and anti-cycling in the Bland sense). Terminates
-  // kOptimal once primal-feasible (phase 2 then verifies and polishes).
-  // No eligible entering column means the LP is primal infeasible *or*
-  // numerics drifted — either way the conservative answer is
-  // kNumericalFailure so the caller re-solves cold and the cold path
-  // delivers the authoritative status.
-  auto run_dual = [&](int& iteration_counter) -> SolveStatus {
-    std::vector<double> y(static_cast<std::size_t>(m));
-    std::vector<double> rho(static_cast<std::size_t>(m));
-    std::vector<double> alpha(static_cast<std::size_t>(m));
-    // Damage-proportional repair budget, capped at ~m. A dual pivot costs
-    // a multiple of a primal one (two BTRANs plus a full-width entering
-    // scan), and primal infeasibility is not monotone under dual pivots —
-    // measured on the plan LPs, repairs that converge do so within ~160
-    // pivots per damaged row (budgeted at 200), while walks past that are
-    // wandering the polytope and cost multiples of the cold solve they
-    // cannot avoid anyway. Fail the warm attempt at the budget and let
-    // the caller fall back. The global max_iterations stays the hard cap
-    // and keeps its own (non-falling-back) status.
-    const int budget = std::min(options.max_iterations,
-                                iteration_counter +
-                                    std::min(m + 100, std::max(64, 200 * negative_rows)));
-    while (true) {
-      if (iteration_counter >= options.max_iterations) return SolveStatus::kIterationLimit;
-      if (iteration_counter >= budget) return SolveStatus::kNumericalFailure;
-
-      // Leaving row: most negative basic value (ties: smallest row).
-      int leaving = -1;
-      double most_negative = -options.feasibility_tol;
-      for (int i = 0; i < m; ++i) {
-        if (xb[static_cast<std::size_t>(i)] < most_negative) {
-          most_negative = xb[static_cast<std::size_t>(i)];
-          leaving = i;
-        }
-      }
-      if (leaving < 0) return SolveStatus::kOptimal;  // primal feasible
-
-      // rho = B^{-T} e_r gives the leaving row of B^{-1}A; y prices d_j.
-      std::fill(rho.begin(), rho.end(), 0.0);
-      rho[static_cast<std::size_t>(leaving)] = 1.0;
-      lu.btran(rho);
-      for (int i = 0; i < m; ++i)
-        y[static_cast<std::size_t>(i)] =
-            t.cost[static_cast<std::size_t>(basis[static_cast<std::size_t>(i)])];
-      lu.btran(y);
-
-      int entering = -1;
-      double best_ratio = std::numeric_limits<double>::infinity();
-      for (int j = 0; j < t.n_total; ++j) {
-        if (in_basis[static_cast<std::size_t>(j)] || t.artificial[static_cast<std::size_t>(j)])
-          continue;
-        const double arj = t.a.dot_column(j, rho);
-        if (arj >= -options.pivot_tol) continue;
-        const double dj =
-            std::max(0.0, t.cost[static_cast<std::size_t>(j)] - t.a.dot_column(j, y));
-        const double ratio = dj / (-arj);
-        if (ratio < best_ratio) {
-          best_ratio = ratio;
-          entering = j;
-        }
-      }
-      if (entering < 0) return SolveStatus::kNumericalFailure;
-
-      std::fill(alpha.begin(), alpha.end(), 0.0);
-      t.a.axpy_column(entering, 1.0, alpha);
-      lu.ftran(alpha);
-      // The FTRAN'd pivot element must agree in sign with the BTRAN'd row
-      // scan; disagreement means the factorization has degraded.
-      if (alpha[static_cast<std::size_t>(leaving)] >= -options.pivot_tol)
-        return SolveStatus::kNumericalFailure;
-
-      const double theta =
-          xb[static_cast<std::size_t>(leaving)] / alpha[static_cast<std::size_t>(leaving)];
-      for (int i = 0; i < m; ++i)
-        xb[static_cast<std::size_t>(i)] -= theta * alpha[static_cast<std::size_t>(i)];
-      xb[static_cast<std::size_t>(leaving)] = theta;
-      in_basis[static_cast<std::size_t>(basis[static_cast<std::size_t>(leaving)])] = false;
-      in_basis[static_cast<std::size_t>(entering)] = true;
-      basis[static_cast<std::size_t>(leaving)] = entering;
-      ++iteration_counter;
-
-      const bool updated = lu.update(leaving, alpha, options.pivot_tol);
-      if (!updated || lu.eta_count() >= options.refactor_interval) {
-        if (!timed_factorize(lu)) return SolveStatus::kNumericalFailure;
-        xb = t.rhs;
-        lu.ftran(xb);
-      }
+      if (!apply_pivot(entering, leaving, theta, alpha)) return false;
     }
   };
 
   // ---- Phase 1. Warm seeds never run the classic artificial phase 1: a
   // clean seed skips straight to phase 2; a damaged one is repaired by the
-  // dual simplex when eligible (kAuto/kDual, no uncovered rows, seed
-  // dual-feasible — the disturbance-replan shape), else by the primal
-  // restoration pass under the warm_repair_limit gate. Any failure returns
-  // kNumericalFailure and the caller falls back cold.
-  if (warm && (artificials_hot > 0 || negative_rows > 0)) {
-    bool repaired = false;
-    // Heavy rhs damage disqualifies the dual path outright (before paying
-    // for the dual-feasibility probe): with more than ~1.5% of the rows
-    // negative the repair walk measurably outruns any useful budget, so
-    // entering would only burn pivots before the same cold fallback. The
-    // threshold mirrors warm_repair_limit's spirit — repairs must be
-    // small relative to the model to pay off — but is far stricter, dual
-    // pivots being far pricier than restoration ones.
-    const bool dual_damage_ok = negative_rows <= std::max(32, m / 64);
-    if (options.pivot_mode != PivotMode::kPrimal && artificials_hot == 0 && dual_damage_ok &&
-        dual_feasible()) {
-      const auto d_start = std::chrono::steady_clock::now();
-      const SolveStatus ds = run_dual(sol.dual_iterations);
-      sol.phase1_seconds += seconds_since(d_start);
-      sol.iterations += sol.dual_iterations;
-      if (ds != SolveStatus::kOptimal) {
-        // The basis has mutated mid-loop; the only safe continuation is the
-        // cold fallback, whatever the pivot mode.
-        sol.status = ds == SolveStatus::kIterationLimit ? ds : SolveStatus::kNumericalFailure;
-        return sol;
-      }
-      repaired = true;
+  // restoration pass. Restoration only pays for bounded damage: past
+  // warm_repair_limit of the rows, repair work exceeds a cold phase 1
+  // (measured on the plan LPs), so the seed is rejected. Any failure
+  // returns kNumericalFailure and the caller falls back cold.
+  if (damaged_rows > 0) {
+    if (damaged_rows > options.warm_repair_limit * m) {
+      sol.status = SolveStatus::kNumericalFailure;
+      return sol;
     }
-    if (!repaired) {
-      // kDual insists on the dual loop or nothing; a seed it cannot take
-      // (uncovered rows, dual infeasibility) fails the warm attempt.
-      // Restoration repair is only worth bounded damage: past
-      // warm_repair_limit of the rows, repair work exceeds a cold phase 1
-      // (measured on the plan LPs), so reject and let the caller cold-solve.
-      if (options.pivot_mode == PivotMode::kDual ||
-          artificials_hot + negative_rows > options.warm_repair_limit * m) {
-        sol.status = SolveStatus::kNumericalFailure;
-        return sol;
-      }
-      const auto p1_start = std::chrono::steady_clock::now();
-      const bool restored = run_restoration(sol.phase1_iterations);
-      sol.phase1_seconds += seconds_since(p1_start);
-      sol.iterations += sol.phase1_iterations;
-      if (!restored) {
-        sol.status = SolveStatus::kNumericalFailure;
-        return sol;
-      }
+    const auto p1_start = std::chrono::steady_clock::now();
+    const bool restored = run_restoration(sol.phase1_iterations);
+    sol.phase1_seconds += seconds_since(p1_start);
+    sol.iterations += sol.phase1_iterations;
+    if (!restored) {
+      sol.status = SolveStatus::kNumericalFailure;
+      return sol;
     }
   }
   bool need_phase1 = false;

@@ -1,5 +1,4 @@
-// Two-phase revised simplex (primal, with a dual pivot mode for warm
-// re-solves).
+// Two-phase revised simplex (primal).
 //
 // Solves min c'x s.t. Ax {<=,=,>=} b, x >= 0 as built by LpModel. Slacks
 // and surpluses convert rows to equalities; artificials complete the
@@ -10,12 +9,11 @@
 // refactorized. Dantzig pricing with a bounded Bland's-rule fallback breaks
 // degenerate stalls.
 //
-// Warm re-solves additionally support the *dual* simplex: when a seeded
-// basis is dual-feasible (no attractive nonbasic column) but primally
-// violated — the shape rhs-side disturbances leave a previously optimal
-// basis in — the dual pivot loop drives the negative basics out without
-// ever dropping dual feasibility, typically in a handful of pivots where
-// the primal restoration pass would rebuild feasibility from scratch.
+// Warm re-solves start from a caller basis. A seed left primally damaged
+// (hot artificials, negative basics) is repaired by one path: a primal
+// restoration pass that minimizes total infeasibility, gated by
+// warm_repair_limit. A dual simplex and candidate-column pruning were
+// measured against it and removed (docs/solver.md, "Measured and removed").
 #pragma once
 
 #include <cstdint>
@@ -29,17 +27,6 @@ namespace titan::lp {
 enum class SolveStatus { kOptimal, kInfeasible, kUnbounded, kIterationLimit, kNumericalFailure };
 
 [[nodiscard]] std::string status_name(SolveStatus s);
-
-// Pivot-mode selection for warm-started solves (cold solves always run the
-// classic primal two-phase path, byte for byte):
-//  * kAuto: a clean seed goes straight to primal phase 2; a primally
-//    damaged seed tries the dual simplex when it is dual-feasible (and has
-//    no uncovered rows), else the primal restoration pass.
-//  * kPrimal: never enter the dual loop (the pre-dual behaviour).
-//  * kDual: dual loop or nothing — a seed that is not dual-feasible fails
-//    the warm attempt and the solve falls back cold. Benches use this to
-//    isolate the dual path's contribution.
-enum class PivotMode { kAuto, kPrimal, kDual };
 
 struct SolveOptions {
   int max_iterations = 200000;
@@ -63,15 +50,10 @@ struct SolveOptions {
   // more than this fraction of rows is hot the seed has transferred too
   // little to pay off — measured on the plan LPs, majority-fresh repairs
   // cost multiples of a cold solve — so the solver falls back cold instead.
-  // The dual pivot loop is exempt from this fraction but has stricter
-  // gates of its own (dual pivots cost several primal ones each): seeds
-  // with more than max(32, m/64) negative rows are refused outright, and
-  // an admitted repair is cut off after min(m + 100, 200 × negative
-  // rows) pivots — measured on the plan LPs, repairs that pay off
-  // converge within ~160 pivots per damaged row; longer walks lose to
-  // the cold solve they fall back to anyway.
+  // Negative basic values (rhs drift: a capacity cut, a drained DC) count
+  // toward the same fraction and are repaired by the same pass, which is
+  // also cut off after 2m + 100 pivots.
   double warm_repair_limit = 0.1;
-  PivotMode pivot_mode = PivotMode::kAuto;
   bool verbose = false;
 };
 
@@ -100,11 +82,8 @@ struct Solution {
   SolveStatus status = SolveStatus::kNumericalFailure;
   double objective = 0.0;
   std::vector<double> x;  // structural variables only
-  int iterations = 0;     // total pivots: phase 1/restoration + dual + phase 2
+  int iterations = 0;     // total pivots: phase 1/restoration + phase 2
   int phase1_iterations = 0;
-  // Dual-simplex pivots of the accepted solve (warm kAuto/kDual path only;
-  // 0 on every cold or primal-warm solve). Counted inside `iterations`.
-  int dual_iterations = 0;
   // Anti-cycling observability: degenerate pivots taken (the stall
   // detector's raw signal) and pivots spent inside Bland's-rule bursts.
   // Deterministic companions to `iterations`.
@@ -116,10 +95,8 @@ struct Solution {
   // to it). refactor_seconds is the LU (re)factorization share, counted
   // inside whichever phase triggered it. `refactorizations` counts those
   // factorizations — a deterministic companion to `iterations`, since the
-  // pivot sequence and eta-growth policy are deterministic. Dual pivot
-  // time is accounted under phase1_seconds (the "reach primal
-  // feasibility" share, like the warm restoration pass).
-  double phase1_seconds = 0.0;  // classic phase 1, warm restoration, or dual loop
+  // pivot sequence and eta-growth policy are deterministic.
+  double phase1_seconds = 0.0;  // classic phase 1 or warm restoration
   double phase2_seconds = 0.0;
   double refactor_seconds = 0.0;
   int refactorizations = 0;
@@ -136,8 +113,7 @@ struct Solution {
 // an earlier solve of a structurally compatible model). When the seeded
 // basis maps onto this model, factorizes, and is primal-feasible, phase 1
 // is skipped entirely and phase 2 runs from it; a primally damaged seed is
-// repaired by the dual simplex (dual-feasible seeds, pivot_mode kAuto/
-// kDual) or the primal restoration pass. On a dimension mismatch, a
+// repaired by the primal restoration pass. On a dimension mismatch, a
 // singular factorization, an infeasible seed, or a numerical failure
 // mid-solve, the call transparently falls back to the cold path — the
 // result is always as trustworthy as solve() without a basis.

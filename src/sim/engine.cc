@@ -512,7 +512,6 @@ SimResult SimEngine::run(int threads) {
       stat.slot = s;
       stat.iterations = current_plan_.lp_iterations;
       stat.phase1_iterations = current_plan_.lp_phase1_iterations;
-      stat.dual_iterations = current_plan_.lp_dual_iterations;
       stat.blocks_solved = current_plan_.lp_blocks_solved;
       stat.warm_started = current_plan_.lp_warm_started;
       stat.forced = force_replan;

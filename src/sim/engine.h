@@ -53,20 +53,19 @@ struct ReplanStat {
   int iterations = 0;            // simplex iterations of the accepted solve
   int phase1_iterations = 0;     // phase-1 share (for warm solves: the
                                  // feasibility-restoration iterations)
-  // Deterministic scale-out counters of the accepted solve: dual-simplex
-  // pivots (disturbance replans repaired by the dual pivot loop) and region
-  // blocks solved by the decomposed path (0 = monolithic).
-  int dual_iterations = 0;
+  // Region blocks the decomposed path solved (0 = monolithic);
+  // deterministic.
   int blocks_solved = 0;
-  // Always 0: candidate-column pruning is gone; perfbench still reads it.
+  // Always 0: the dual simplex and candidate-column pruning are gone;
+  // perfbench still reads both.
+  int dual_iterations = 0;
   int pruned_columns = 0;
   bool warm_started = false;
   // True when this replan was disturbance-forced (a network event, not the
   // scheduled cadence). A purely-forced replan keeps the warm cache AND
-  // the current horizon anchor, so the seed transfers at shift 0 and the
-  // rhs-side damage is exactly what the dual simplex repairs —
-  // warm_started (and dual_iterations) on a forced stat is the dual
-  // path's success signal.
+  // the current horizon anchor, so the seed transfers at shift 0 and only
+  // rhs-side damage is left for the restoration pass to repair —
+  // warm_started on a forced stat is the repair's success signal.
   bool forced = false;
   int attempts = 1;              // headroom-relaxation attempts consumed
   double solve_seconds = 0.0;

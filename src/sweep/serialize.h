@@ -24,15 +24,18 @@ namespace titan::sweep {
 // replan_phase1_iterations, warm_replans) plus plan_solve_seconds — the LP
 // time `Solution::solve_seconds` always measured but the sweep never
 // surfaced. Earlier baselines must be regenerated, not compared.
-// v4: LP scale-out counters (replan_dual_iterations, replan_blocks_solved,
-// replan_pruned_columns) from the dual-simplex warm path and the
+// v4: LP scale-out counters (dual-simplex pivots, replan_blocks_solved,
+// pruned candidate columns) from the dual-simplex warm path and the
 // region-block decomposition. Earlier baselines must be regenerated, not
 // compared.
 // v5: overload-regime metrics (rejected_calls, degraded_calls,
 // shed_fraction_na/eu/asia) from admission control, plus the three overload
 // scenarios joining the scenario library. Earlier baselines must be
 // regenerated, not compared.
-inline constexpr int kSweepSchemaVersion = 5;
+// v6: the dual-simplex pivot and pruned-column counters dropped with the
+// dual simplex and candidate-column pruning they counted. Earlier
+// baselines must be regenerated, not compared.
+inline constexpr int kSweepSchemaVersion = 6;
 
 // Building blocks of the document mapping, exposed because the worker
 // protocol (sweep/protocol.h) transports the same spec and run-record

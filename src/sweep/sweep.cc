@@ -49,12 +49,9 @@ const std::vector<std::string>& metric_names() {
       "replan_phase1_iterations",
       "warm_replans",
       "plan_solve_seconds",
-      // LP scale-out counters (schema v4): dual-simplex pivots across all
-      // replans, region blocks solved by the decomposed path, and structural
-      // columns excluded from pricing by the candidate mask. Deterministic.
-      "replan_dual_iterations",
+      // Region blocks solved by the decomposed path across all replans
+      // (schema v4). Deterministic.
       "replan_blocks_solved",
-      "replan_pruned_columns",
       // Overload regime (schema v5): admission-control sheds and media
       // step-downs, plus the realized per-region shed fraction (rejected /
       // offered arrivals) for the three planning regions. All zero outside
@@ -72,14 +69,12 @@ std::vector<double> metric_values(const sim::SimResult& r) {
   double worst_day = 0.0;
   for (const double d : r.wan.per_day_sum_of_peaks_mbps) worst_day = std::max(worst_day, d);
   std::int64_t replan_iterations = 0, replan_phase1 = 0, warm_replans = 0;
-  std::int64_t replan_dual = 0, replan_blocks = 0, replan_pruned = 0;
+  std::int64_t replan_blocks = 0;
   for (const auto& stat : r.replan_stats) {
     replan_iterations += stat.iterations;
     replan_phase1 += stat.phase1_iterations;
     warm_replans += stat.warm_started ? 1 : 0;
-    replan_dual += stat.dual_iterations;
     replan_blocks += stat.blocks_solved;
-    replan_pruned += stat.pruned_columns;
   }
   return {
       static_cast<double>(r.calls),
@@ -109,9 +104,7 @@ std::vector<double> metric_values(const sim::SimResult& r) {
       static_cast<double>(replan_phase1),
       static_cast<double>(warm_replans),
       r.plan_seconds,
-      static_cast<double>(replan_dual),
       static_cast<double>(replan_blocks),
-      static_cast<double>(replan_pruned),
       static_cast<double>(r.rejected_calls),
       static_cast<double>(r.degraded_calls),
       r.shed_fraction(geo::Continent::kNorthAmerica),
@@ -189,38 +182,10 @@ SweepSpec validate_sweep_spec(SweepSpec spec) {
   return spec;
 }
 
-const std::vector<std::string>& lp_mode_names() {
-  static const std::vector<std::string> names = {"auto", "primal", "dual", "decomposed"};
-  return names;
-}
-
-namespace {
-
-// Same mapping as the bench --lp-mode flag (bench_sim_scenarios): "auto"
-// leaves the scenario's solver defaults untouched.
-void apply_lp_mode(const std::string& mode, titannext::PipelineOptions& pipeline) {
-  if (mode == "auto") return;
-  if (mode == "primal") {
-    pipeline.lp.solver.pivot_mode = lp::PivotMode::kPrimal;
-    pipeline.lp.decomposition = titannext::Decomposition::kOff;
-  } else if (mode == "dual") {
-    pipeline.lp.solver.pivot_mode = lp::PivotMode::kDual;
-    pipeline.lp.decomposition = titannext::Decomposition::kOff;
-  } else if (mode == "decomposed") {
-    pipeline.lp.decomposition = titannext::Decomposition::kForce;
-  } else {
-    throw std::invalid_argument("unknown lp_mode '" + mode + "'");
-  }
-}
-
-}  // namespace
-
 SweepTaskResult run_sweep_task(const SweepSpec& spec, const std::string& scenario,
-                               std::uint64_t seed, const std::string& lp_mode) {
+                               std::uint64_t seed) {
   const auto task_start = std::chrono::steady_clock::now();
-  sim::Scenario resolved = sweep_scenario(spec, scenario, seed);
-  apply_lp_mode(lp_mode, resolved.pipeline);
-  sim::SimEngine engine(resolved);
+  sim::SimEngine engine(sweep_scenario(spec, scenario, seed));
 
   SweepTaskResult task;
   const std::size_t variants = spec.sim_threads.size();

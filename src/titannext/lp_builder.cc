@@ -377,7 +377,6 @@ void accumulate_solution_stats(LpPlanResult& r, const lp::Solution& sol) {
   r.refactorizations += sol.refactorizations;
   r.iterations += sol.iterations;
   r.phase1_iterations += sol.phase1_iterations;
-  r.dual_iterations += sol.dual_iterations;
   r.stall_pivots += sol.stall_pivots;
   r.bland_pivots += sol.bland_pivots;
 }

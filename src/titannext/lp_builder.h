@@ -80,11 +80,9 @@ struct LpPlanResult {
   // Solver observability, summed across every LP the plan solve ran (one
   // for a monolithic solve; per-block + coupling for a decomposed one).
   // See lp::Solution for the per-solve meanings.
-  int dual_iterations = 0;
   int stall_pivots = 0;
   int bland_pivots = 0;
-  // Always 0: candidate-column pruning was measured never to prune and
-  // removed; kept because perfbench/titan_perfbench.cc reads it.
+  // Always 0: candidate-column pruning is gone; perfbench still reads it.
   int promoted_columns = 0;
   // Region blocks solved to optimality by the decomposed path; 0 for a
   // monolithic solve (the coupling LP is not counted as a block).

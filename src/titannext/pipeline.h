@@ -45,12 +45,10 @@ struct DayPlan {
   int lp_iterations = 0;          // simplex iterations of the accepted solve
   int lp_phase1_iterations = 0;   // phase-1 share (for warm-started solves:
                                   // the feasibility-restoration iterations)
-  // Scale-out observability of the accepted solve (deterministic; see
-  // LpPlanResult): dual-simplex pivots and region blocks solved by the
-  // decomposed path.
+  int lp_blocks_solved = 0;  // region blocks solved by the decomposed path
+  // Always 0: the dual simplex and candidate-column pruning are gone;
+  // perfbench still reads both.
   int lp_dual_iterations = 0;
-  int lp_blocks_solved = 0;
-  // Always 0: candidate-column pruning is gone; perfbench still reads it.
   int lp_pruned_columns = 0;
   bool lp_warm_started = false;   // accepted solve was seeded from a cached basis
   int lp_attempts = 0;            // headroom-relaxation attempts consumed

@@ -557,15 +557,15 @@ TEST(SimplexTest, DegenerateStallArmsBoundedBlandBurst) {
   EXPECT_EQ(relaxed.bland_pivots, 0);
 }
 
-// --- dual simplex ----------------------------------------------------------
+// --- warm repair of rhs damage ---------------------------------------------
 
-// Three-row LP whose optimal basis stays dual-feasible when the first rhs
-// shrinks: min -x - 2y + z_cost*z, x + y + z <= r0, x <= 2, y <= 3.
-LpModel dual_demo_model(double r0, double z_cost) {
+// Three-row LP whose optimal basis goes primal-infeasible when the first
+// rhs shrinks: min -x - 2y + 5z, x + y + z <= r0, x <= 2, y <= 3.
+LpModel rhs_demo_model(double r0) {
   LpModel m;
   const int x = m.add_variable(-1.0);
   const int y = m.add_variable(-2.0);
-  const int z = m.add_variable(z_cost);
+  const int z = m.add_variable(5.0);
   const int c0 = m.add_constraint(Sense::kLe, r0);
   m.add_coefficient(c0, x, 1.0);
   m.add_coefficient(c0, y, 1.0);
@@ -578,65 +578,33 @@ LpModel dual_demo_model(double r0, double z_cost) {
 }
 
 // Shrinking the coupling rhs drives a basic structural negative; the
-// re-solve from the stale optimal basis must repair it with dual pivots
-// (no phase-1 restoration) and land on the successor's cold optimum.
-TEST(SimplexDualTest, RhsDamagedSeedRepairsWithDualPivots) {
-  const LpModel before = dual_demo_model(4.0, 5.0);
+// re-solve from the stale optimal basis must repair it through the
+// restoration pass and land on the successor's cold optimum.
+TEST(SimplexWarmTest, RhsDamagedSeedRepairsThroughRestoration) {
+  const LpModel before = rhs_demo_model(4.0);
   const Solution base = solve(before);
   ASSERT_EQ(base.status, SolveStatus::kOptimal);
   EXPECT_NEAR(base.objective, -7.0, 1e-7);  // x = 1, y = 3
 
-  const LpModel after = dual_demo_model(2.5, 5.0);
+  const LpModel after = rhs_demo_model(2.5);
   const Solution cold = solve(after);
   ASSERT_EQ(cold.status, SolveStatus::kOptimal);
   EXPECT_NEAR(cold.objective, -5.0, 1e-7);  // y = 2.5
 
-  for (const PivotMode mode : {PivotMode::kAuto, PivotMode::kDual}) {
-    SolveOptions opt;
-    opt.pivot_mode = mode;
-    const Solution warm = solve(after, base.basis, opt);
-    ASSERT_EQ(warm.status, SolveStatus::kOptimal);
-    EXPECT_TRUE(warm.warm_started);
-    EXPECT_GE(warm.dual_iterations, 1);
-    EXPECT_EQ(warm.phase1_iterations, 0);  // never entered restoration
-    EXPECT_NEAR(warm.objective, cold.objective, 1e-7);
-    EXPECT_LE(after.max_violation(warm.x), 1e-6);
-  }
-}
-
-// kPrimal pins the historical behaviour: the same damaged seed repairs
-// through the restoration pass, with zero dual pivots.
-TEST(SimplexDualTest, PrimalModeNeverTakesDualPivots) {
-  const Solution base = solve(dual_demo_model(4.0, 5.0));
-  ASSERT_EQ(base.status, SolveStatus::kOptimal);
-  const LpModel after = dual_demo_model(2.5, 5.0);
+  // One damaged row of three is past the default 10% repair gate, which is
+  // sized for the plan LPs; open the gate so the repair itself is tested.
   SolveOptions opt;
-  opt.pivot_mode = PivotMode::kPrimal;
+  opt.warm_repair_limit = 1.0;
   const Solution warm = solve(after, base.basis, opt);
   ASSERT_EQ(warm.status, SolveStatus::kOptimal);
-  EXPECT_EQ(warm.dual_iterations, 0);
-  EXPECT_NEAR(warm.objective, -5.0, 1e-7);
-}
-
-// kDual demands a dual-feasible seed: when the successor's costs make a
-// nonbasic column attractive (z turns profitable), the warm attempt fails
-// and the solve transparently runs the cold path.
-TEST(SimplexDualTest, DualModeWithDualInfeasibleSeedFallsBackCold) {
-  const Solution base = solve(dual_demo_model(4.0, 5.0));
-  ASSERT_EQ(base.status, SolveStatus::kOptimal);
-  const LpModel after = dual_demo_model(2.5, -100.0);
-  SolveOptions opt;
-  opt.pivot_mode = PivotMode::kDual;
-  const Solution warm = solve(after, base.basis, opt);
-  ASSERT_EQ(warm.status, SolveStatus::kOptimal);
-  EXPECT_FALSE(warm.warm_started);
-  EXPECT_EQ(warm.dual_iterations, 0);
-  EXPECT_NEAR(warm.objective, solve(after).objective, 1e-7);  // z = 2.5
+  EXPECT_TRUE(warm.warm_started);
+  EXPECT_GE(warm.phase1_iterations, 1);
+  EXPECT_NEAR(warm.objective, cold.objective, 1e-7);
+  EXPECT_LE(after.max_violation(warm.x), 1e-6);
 }
 
 // Optimal solves export the row duals; every structural column must price
-// nonnegative against them (the optimality certificate callers rebuild
-// candidate masks from).
+// nonnegative against them (the optimality certificate).
 TEST(SimplexDualTest, OptimalSolveExportsConsistentDuals) {
   core::Rng rng(73);
   const LpModel m = warm_test_model(rng, 8, 6, 1.0);

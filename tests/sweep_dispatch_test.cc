@@ -256,7 +256,6 @@ TEST(SweepDispatchTest, WireSpecsAreNormalizedAndShuffleOnlyReordersDispatch) {
     const WorkSpec sent = work_spec_from_text(line);
     EXPECT_EQ(sent.spec.workers, 0);
     EXPECT_EQ(sent.spec.task_order_seed, 0u);
-    EXPECT_EQ(sent.lp_mode, "auto");
     seeds_a.push_back(sent.seed);
   }
 
