@@ -183,6 +183,10 @@ int main(int argc, char** argv) {
   // (exit 2 with the valid list on an unknown name) and serves
   // --list-scenarios.
   const bench::Cli cli = bench::parse_cli(argc, argv, sim::scenario_names());
+  if (cli.check && cli.perf_baseline_path.empty()) {
+    std::fprintf(stderr, "--check needs --perf-baseline PATH (the report to gate against)\n");
+    return 2;
+  }
   bench::print_header("Closed-loop scenario simulation", "§8 long-term / stability setup");
 
   std::vector<std::string> names;
@@ -307,7 +311,8 @@ int main(int argc, char** argv) {
   // Performance-trajectory report (docs/observability.md): stable schema
   // with throughput, assignment-latency quantiles, phase timings, and the
   // deterministic anchors that make cross-machine diffs interpretable.
-  if (!cli.perf_json_path.empty()) {
+  bool deterministic_ok = true;
+  if (!cli.perf_json_path.empty() || !cli.perf_baseline_path.empty()) {
     sweep::Json report = sweep::perf_report_json(results, cli.peak_or(1200.0), cli.weeks,
                                                  cli.threads, cli.seed);
     // Cross-scenario aggregate registry: one merged latency histogram and
@@ -329,31 +334,42 @@ int main(int argc, char** argv) {
     }
     report.set("registry", sweep::registry_json(registry));
 
-    std::ofstream out(cli.perf_json_path);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", cli.perf_json_path.c_str());
-      return 1;
+    if (!cli.perf_json_path.empty()) {
+      std::ofstream out(cli.perf_json_path);
+      if (!out) {
+        std::fprintf(stderr, "cannot write %s\n", cli.perf_json_path.c_str());
+        return 1;
+      }
+      out << report.dump(2) << "\n";
+      out.close();
+      std::printf("wrote %s\n", cli.perf_json_path.c_str());
     }
-    out << report.dump(2) << "\n";
-    out.close();
-    std::printf("wrote %s\n", cli.perf_json_path.c_str());
 
-    // Informational diff against a committed baseline: printed, never
-    // fatal — wall clock is machine-dependent, the trajectory is the point.
+    // Diff against a committed baseline. The wall-clock part is printed
+    // and never fatal — it is machine-dependent, the trajectory is the
+    // point. With --check the deterministic blocks must match exactly, and
+    // a baseline that cannot be read fails the check too.
     if (!cli.perf_baseline_path.empty()) {
       std::ifstream in(cli.perf_baseline_path);
       if (!in) {
         std::fprintf(stderr, "perf baseline %s unreadable; skipping diff\n",
                      cli.perf_baseline_path.c_str());
+        deterministic_ok = !cli.check;
       } else {
         std::ostringstream text;
         text << in.rdbuf();
         try {
           const sweep::Json baseline = sweep::Json::parse(text.str());
           std::printf("\n%s", sweep::perf_diff_text(baseline, report).c_str());
+          if (cli.check) {
+            const sweep::PerfCheck gate = sweep::perf_deterministic_check(baseline, report);
+            std::printf("%s", gate.text.c_str());
+            deterministic_ok = gate.ok;
+          }
         } catch (const std::exception& e) {
           std::fprintf(stderr, "perf baseline %s unparsable (%s); skipping diff\n",
                        cli.perf_baseline_path.c_str(), e.what());
+          deterministic_ok = !cli.check;
         }
       }
     }
@@ -374,5 +390,5 @@ int main(int argc, char** argv) {
   // Leaked calls mean corrupted usage streams; fail the smoke run loudly.
   for (const auto& r : results)
     if (r.leaked_calls != 0) return 1;
-  return 0;
+  return deterministic_ok ? 0 : 1;
 }

@@ -39,8 +39,10 @@ namespace titan::bench {
 //                 documents the schema). In bench_sim_sweep's distributed
 //                 mode (--workers-proc) it writes the per-worker dispatch
 //                 timing report instead (docs/sweep.md)
-//   --perf-baseline PATH  committed perf JSON to diff against,
-//                 informationally — never changes the exit code
+//   --perf-baseline PATH  committed perf JSON to diff against; the
+//                 wall-clock diff is informational. With --check,
+//                 bench_sim_scenarios exits 1 when any scenario's
+//                 `deterministic` block differs from the baseline's
 //   --trace-out PATH  Chrome trace_event JSON of the runs' phase spans,
 //                 loadable in Perfetto (bench_sim_scenarios only)
 //   --list-scenarios  print the scenario library and exit (sim benches only)

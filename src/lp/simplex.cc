@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <limits>
 #include <optional>
+#include <span>
 
 #include "lp/basis_lu.h"
 
@@ -150,37 +151,39 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
 
-// Runs the simplex from `basis`. Cold starts (warm == false) begin with the
-// canonical slack/artificial basis and run phase 1 when artificials are
-// present. Warm starts skip the classic phase 1: a primal-feasible seed
-// goes straight to phase 2, a damaged one is repaired by the restoration
-// pass under the warm_repair_limit gate. A seed that does not factorize,
-// exceeds the gate or fails to repair reports kNumericalFailure so the
-// caller can rerun cold.
-Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> basis, bool warm,
-                    const SolveOptions& options) {
+// Runs the simplex from `basis` on `lu`. Cold starts (warm == false) begin
+// with the canonical slack/artificial basis and run phase 1 when
+// artificials are present. Warm starts skip the classic phase 1: a
+// primal-feasible seed goes straight to phase 2, a damaged one is repaired
+// by the restoration pass under the warm_repair_limit gate. A seed that
+// does not factorize, exceeds the gate or fails to repair reports
+// kNumericalFailure, with the reason in warm_rejection, so the caller can
+// rerun cold.
+Solution run_simplex(const LpModel& model, const Tableau& t, std::vector<int> basis, bool warm,
+                     const SolveOptions& options, BasisLu& lu) {
   Solution sol;
   sol.warm_started = warm;
   const int m = model.num_constraints();
+  const auto reject = [&](WarmRejection why) {
+    sol.status = SolveStatus::kNumericalFailure;
+    if (warm) sol.warm_rejection = why;
+    return sol;
+  };
 
   std::vector<bool> in_basis(static_cast<std::size_t>(t.n_total), false);
   for (const int j : basis) in_basis[static_cast<std::size_t>(j)] = true;
 
   // Every LU factorization is counted and its wall time accumulated —
   // the refactorization share of the phase-timing breakdown.
-  const auto timed_factorize = [&](BasisLu& lu_) {
+  const auto timed_factorize = [&] {
     const auto f0 = std::chrono::steady_clock::now();
-    const bool ok = lu_.factorize(t.a, basis, options.pivot_tol);
+    const bool ok = lu.factorize(t.a, basis, options.pivot_tol);
     sol.refactor_seconds += seconds_since(f0);
     ++sol.refactorizations;
     return ok;
   };
 
-  BasisLu lu;
-  if (!timed_factorize(lu)) {
-    sol.status = SolveStatus::kNumericalFailure;
-    return sol;
-  }
+  if (!timed_factorize()) return reject(WarmRejection::kSingular);
 
   // Basic values x_B = B^{-1} b.
   std::vector<double> xb = t.rhs;
@@ -208,20 +211,22 @@ Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> bas
     if (t.artificial[static_cast<std::size_t>(j)]) phase1_cost[static_cast<std::size_t>(j)] = 1.0;
 
   // Applies one pivot — `entering` replaces the basic of row `leaving`,
-  // with step `theta` along the FTRAN'd column `alpha` — and refactorizes
-  // when the eta file is full or the update is unstable, recomputing x_B
-  // from scratch. False when that refactorization fails.
+  // with step `theta` along the FTRAN'd column `alpha` whose nonzero
+  // pattern is `nz` — and refactorizes when the eta file is full or the
+  // update is unstable, recomputing x_B from scratch. False when that
+  // refactorization fails.
   const auto apply_pivot = [&](int entering, int leaving, double theta,
-                               const std::vector<double>& alpha) -> bool {
-    for (int i = 0; i < m; ++i)
+                               const std::vector<double>& alpha, std::span<const int> nz) -> bool {
+    for (const int i : nz)
       xb[static_cast<std::size_t>(i)] -= theta * alpha[static_cast<std::size_t>(i)];
     xb[static_cast<std::size_t>(leaving)] = theta;
     in_basis[static_cast<std::size_t>(basis[static_cast<std::size_t>(leaving)])] = false;
     in_basis[static_cast<std::size_t>(entering)] = true;
     basis[static_cast<std::size_t>(leaving)] = entering;
-    if (lu.update(leaving, alpha, options.pivot_tol) && lu.eta_count() < options.refactor_interval)
+    if (lu.update(leaving, alpha, nz, options.pivot_tol) &&
+        lu.eta_count() < options.refactor_interval)
       return true;
-    if (!timed_factorize(lu)) return false;
+    if (!timed_factorize()) return false;
     xb = t.rhs;
     lu.ftran(xb);
     return true;
@@ -297,12 +302,13 @@ Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> bas
       // FTRAN the entering column.
       std::fill(alpha.begin(), alpha.end(), 0.0);
       t.a.axpy_column(entering, 1.0, alpha);
-      lu.ftran(alpha);
+      const std::span<const int> nz = lu.ftran(alpha);
 
-      // Ratio test.
+      // Ratio test, over alpha's nonzeros in ascending row order (the
+      // order that decides ties).
       int leaving = -1;
       double theta = std::numeric_limits<double>::infinity();
-      for (int i = 0; i < m; ++i) {
+      for (const int i : nz) {
         const double ai = alpha[static_cast<std::size_t>(i)];
         if (ai > options.pivot_tol) {
           const double ratio =
@@ -334,7 +340,7 @@ Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> bas
       }
 
       ++iteration_counter;
-      if (!apply_pivot(entering, leaving, theta, alpha)) return SolveStatus::kNumericalFailure;
+      if (!apply_pivot(entering, leaving, theta, alpha, nz)) return SolveStatus::kNumericalFailure;
     }
   };
 
@@ -398,11 +404,11 @@ Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> bas
 
       std::fill(alpha.begin(), alpha.end(), 0.0);
       t.a.axpy_column(entering, 1.0, alpha);
-      lu.ftran(alpha);
+      const std::span<const int> nz = lu.ftran(alpha);
 
       int leaving = -1;
       double theta = std::numeric_limits<double>::infinity();
-      for (int i = 0; i < m; ++i) {
+      for (const int i : nz) {
         const double ai = alpha[static_cast<std::size_t>(i)];
         const double v = xb[static_cast<std::size_t>(i)];
         double cand = -1.0;
@@ -418,7 +424,7 @@ Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> bas
       if (leaving < 0) return false;
 
       ++iteration_counter;
-      if (!apply_pivot(entering, leaving, theta, alpha)) return false;
+      if (!apply_pivot(entering, leaving, theta, alpha, nz)) return false;
     }
   };
 
@@ -429,18 +435,13 @@ Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> bas
   // (measured on the plan LPs), so the seed is rejected. Any failure
   // returns kNumericalFailure and the caller falls back cold.
   if (damaged_rows > 0) {
-    if (damaged_rows > options.warm_repair_limit * m) {
-      sol.status = SolveStatus::kNumericalFailure;
-      return sol;
-    }
+    if (damaged_rows > options.warm_repair_limit * m)
+      return reject(WarmRejection::kOverRepairLimit);
     const auto p1_start = std::chrono::steady_clock::now();
     const bool restored = run_restoration(sol.phase1_iterations);
     sol.phase1_seconds += seconds_since(p1_start);
     sol.iterations += sol.phase1_iterations;
-    if (!restored) {
-      sol.status = SolveStatus::kNumericalFailure;
-      return sol;
-    }
+    if (!restored) return reject(WarmRejection::kRestorationFailed);
   }
   bool need_phase1 = false;
   if (!warm)
@@ -472,6 +473,7 @@ Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> bas
   const SolveStatus s2 = run_phase(t.cost, /*block_artificials=*/true, phase2_iters);
   sol.phase2_seconds += seconds_since(p2_start);
   sol.iterations += phase2_iters;
+  if (s2 == SolveStatus::kNumericalFailure) return reject(WarmRejection::kPhase2Failed);
   if (s2 != SolveStatus::kOptimal) {
     sol.status = s2;
     return sol;
@@ -485,10 +487,8 @@ Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> bas
   // caller a plan that silently under-serves an equality row.
   for (int i = 0; i < m; ++i) {
     if (t.artificial[static_cast<std::size_t>(basis[static_cast<std::size_t>(i)])] &&
-        xb[static_cast<std::size_t>(i)] > 1e-6) {
-      sol.status = SolveStatus::kNumericalFailure;
-      return sol;
-    }
+        xb[static_cast<std::size_t>(i)] > 1e-6)
+      return reject(WarmRejection::kPhase2Failed);
   }
 
   // Extract structural solution.
@@ -508,6 +508,17 @@ Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> bas
     sol.duals[static_cast<std::size_t>(i)] =
         t.cost[static_cast<std::size_t>(basis[static_cast<std::size_t>(i)])];
   lu.btran(sol.duals);
+  return sol;
+}
+
+// run_simplex on a fresh LU, with the LU's kernel-work counters copied
+// onto the solution whichever way the run ended.
+Solution solve_from(const LpModel& model, const Tableau& t, std::vector<int> basis, bool warm,
+                    const SolveOptions& options) {
+  BasisLu lu;
+  Solution sol = run_simplex(model, t, std::move(basis), warm, options, lu);
+  sol.eta_nonzeros = lu.eta_nonzeros();
+  sol.solve_positions = lu.solve_positions();
   return sol;
 }
 
@@ -531,8 +542,7 @@ Solution solve(const LpModel& model, const SolveOptions& options) {
   const int m = model.num_constraints();
 
   Solution sol = solve_from(model, t, cold_basis(t, m), /*warm=*/false, options);
-  sol.solve_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t_start).count();
+  sol.solve_seconds = seconds_since(t_start);
   if (options.verbose)
     std::printf("[lp] %d rows, %d cols, %d iters (%d phase1), obj=%.6g, %.2fs\n", m, t.n_total,
                 sol.iterations, sol.phase1_iterations, sol.objective, sol.solve_seconds);
@@ -544,8 +554,10 @@ Solution solve(const LpModel& model, const Basis& warm, const SolveOptions& opti
   const Tableau t = build_tableau(model);
   const int m = model.num_constraints();
 
+  const auto warm_start = std::chrono::steady_clock::now();
   Solution sol;
   sol.status = SolveStatus::kNumericalFailure;
+  sol.warm_rejection = WarmRejection::kUnmappable;
   if (auto mapped = map_warm_basis(t, m, warm)) {
     // Structural-rank repair: a transferred basis can be singular when the
     // entries that used to pivot some rows did not survive the transfer
@@ -572,15 +584,19 @@ Solution solve(const LpModel& model, const Basis& warm, const SolveOptions& opti
   }
   // Any warm failure — unmappable basis, singular factorization, infeasible
   // seed, or numerical trouble mid-phase-2 — falls back to the cold path,
-  // reusing the tableau already built above.
+  // reusing the tableau already built above. The rejected attempt's work
+  // rides along on the cold solution.
   if (sol.status == SolveStatus::kNumericalFailure) {
-    sol = solve_from(model, t, cold_basis(t, m), /*warm=*/false, options);
-    sol.solve_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t_start).count();
-    return sol;
+    const double warm_seconds = seconds_since(warm_start);
+    Solution cold = solve_from(model, t, cold_basis(t, m), /*warm=*/false, options);
+    cold.warm_rejection = sol.warm_rejection;
+    cold.rejected_iterations = sol.iterations;
+    cold.rejected_refactorizations = sol.refactorizations;
+    cold.rejected_seconds = warm_seconds;
+    cold.solve_seconds = seconds_since(t_start);
+    return cold;
   }
-  sol.solve_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t_start).count();
+  sol.solve_seconds = seconds_since(t_start);
   if (options.verbose)
     std::printf("[lp] warm: %d rows, %d cols, %d iters, obj=%.6g, %.2fs\n", m, t.n_total,
                 sol.iterations, sol.objective, sol.solve_seconds);

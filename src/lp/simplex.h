@@ -78,6 +78,17 @@ struct Basis {
   friend bool operator==(const Basis&, const Basis&) = default;
 };
 
+// Why a warm attempt was rejected and the call fell back to the cold path
+// (kNone when no warm attempt was rejected).
+enum class WarmRejection : std::uint8_t {
+  kNone,
+  kUnmappable,          // the basis did not map onto the model's columns
+  kSingular,            // still singular after the structural-rank repair
+  kOverRepairLimit,     // more damaged rows than warm_repair_limit allows
+  kRestorationFailed,   // the restoration pass stalled or hit its cap
+  kPhase2Failed,        // numerical failure or a hot artificial in phase 2
+};
+
 struct Solution {
   SolveStatus status = SolveStatus::kNumericalFailure;
   double objective = 0.0;
@@ -100,6 +111,18 @@ struct Solution {
   double phase2_seconds = 0.0;
   double refactor_seconds = 0.0;
   int refactorizations = 0;
+  // Kernel work, deterministic like `iterations`: entries appended to the
+  // eta file, and positions visited by the LU's triangular passes.
+  std::int64_t eta_nonzeros = 0;
+  std::int64_t solve_positions = 0;
+  // A warm attempt that was rejected before the cold fallback produced
+  // this solution: why, and what it spent. Its pivots and factorizations
+  // are not in `iterations` / `refactorizations` (those describe the
+  // returned solve); its seconds are inside solve_seconds.
+  WarmRejection warm_rejection = WarmRejection::kNone;
+  int rejected_iterations = 0;
+  int rejected_refactorizations = 0;
+  double rejected_seconds = 0.0;
   Basis basis;                // final basis, filled when status == kOptimal
   bool warm_started = false;  // solved from a caller basis (phase 1 skipped)
   // Row duals y (one per constraint, model row order) at the optimal
@@ -116,7 +139,8 @@ struct Solution {
 // repaired by the primal restoration pass. On a dimension mismatch, a
 // singular factorization, an infeasible seed, or a numerical failure
 // mid-solve, the call transparently falls back to the cold path — the
-// result is always as trustworthy as solve() without a basis.
+// result is always as trustworthy as solve() without a basis — and reports
+// the rejected attempt in Solution::warm_rejection and rejected_*.
 [[nodiscard]] Solution solve(const LpModel& model, const Basis& warm,
                              const SolveOptions& options = {});
 

@@ -522,6 +522,11 @@ SimResult SimEngine::run(int threads) {
       stat.phase2_seconds = current_plan_.lp_phase2_seconds;
       stat.refactor_seconds = current_plan_.lp_refactor_seconds;
       stat.refactorizations = current_plan_.lp_refactorizations;
+      stat.eta_nonzeros = current_plan_.lp_eta_nonzeros;
+      stat.solve_positions = current_plan_.lp_solve_positions;
+      stat.rejected_iterations = current_plan_.lp_rejected_iterations;
+      stat.rejected_refactorizations = current_plan_.lp_rejected_refactorizations;
+      stat.rejected_seconds = current_plan_.lp_rejected_seconds;
       result.replan_stats.push_back(stat);
       result.perf.lp_build_seconds += current_plan_.lp_build_seconds;
       result.perf.lp_phase1_seconds += current_plan_.lp_phase1_seconds;

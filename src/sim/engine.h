@@ -78,6 +78,15 @@ struct ReplanStat {
   double phase2_seconds = 0.0;
   double refactor_seconds = 0.0;
   int refactorizations = 0;  // deterministic, like `iterations`
+  // Kernel work of the accepted solve, deterministic like `iterations`:
+  // eta-file entries appended and LU positions the solves visited.
+  std::int64_t eta_nonzeros = 0;
+  std::int64_t solve_positions = 0;
+  // Work of the rejected warm attempts behind this replan's cold
+  // fallbacks (see titannext::LpPlanResult); rejected_seconds is wall clock.
+  int rejected_iterations = 0;
+  int rejected_refactorizations = 0;
+  double rejected_seconds = 0.0;
   bool operator==(const ReplanStat&) const = default;
 };
 
@@ -223,6 +232,7 @@ struct SimResult {
     for (auto& r : replan_stats) {
       r.solve_seconds = 0.0;
       r.build_seconds = r.phase1_seconds = r.phase2_seconds = r.refactor_seconds = 0.0;
+      r.rejected_seconds = 0.0;
     }
     perf.zero_wallclock();
   }

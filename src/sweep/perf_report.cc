@@ -33,6 +33,16 @@ bool get_number(const Json& scenario, const char* block, const char* field, doub
   return true;
 }
 
+// The entry of `report`'s "scenarios" array named `name`, or null.
+const Json* find_scenario(const Json& report, const std::string& name) {
+  const Json& arr = report.at("scenarios");
+  for (std::size_t i = 0; i < arr.size(); ++i) {
+    const Json& s = arr.at(i);
+    if (s.has("scenario") && s.at("scenario").as_string() == name) return &s;
+  }
+  return nullptr;
+}
+
 std::string format_rate(double v) {
   char buf[48];
   if (v >= 1e6)
@@ -57,10 +67,16 @@ Json perf_scenario_json(const sim::SimResult& r) {
   std::int64_t lp_iterations = 0;
   int lp_refactorizations = 0;
   std::int64_t lp_blocks_solved = 0;
+  std::int64_t lp_eta_nonzeros = 0;
+  std::int64_t lp_solve_positions = 0;
+  std::int64_t lp_rejected_iterations = 0;
   for (const auto& stat : r.replan_stats) {
     lp_iterations += stat.iterations;
     lp_refactorizations += stat.refactorizations;
     lp_blocks_solved += stat.blocks_solved;
+    lp_eta_nonzeros += stat.eta_nonzeros;
+    lp_solve_positions += stat.solve_positions;
+    lp_rejected_iterations += stat.rejected_iterations;
   }
 
   Json det = Json::object();
@@ -71,6 +87,9 @@ Json perf_scenario_json(const sim::SimResult& r) {
   det.set("lp_iterations", Json::number(static_cast<double>(lp_iterations)));
   det.set("lp_refactorizations", Json::number(lp_refactorizations));
   det.set("lp_blocks_solved", Json::number(static_cast<double>(lp_blocks_solved)));
+  det.set("lp_eta_nonzeros", Json::number(static_cast<double>(lp_eta_nonzeros)));
+  det.set("lp_solve_positions", Json::number(static_cast<double>(lp_solve_positions)));
+  det.set("lp_rejected_iterations", Json::number(static_cast<double>(lp_rejected_iterations)));
   det.set("rejected_calls", Json::number(static_cast<double>(r.rejected_calls)));
   det.set("degraded_calls", Json::number(static_cast<double>(r.degraded_calls)));
   det.set("checksum", Json::string(hex_u64(r.checksum)));
@@ -189,15 +208,6 @@ std::string perf_diff_text(const Json& baseline, const Json& current) {
     return out;
   }
 
-  const auto find_scenario = [](const Json& report, const std::string& name) -> const Json* {
-    const Json& arr = report.at("scenarios");
-    for (std::size_t i = 0; i < arr.size(); ++i) {
-      const Json& s = arr.at(i);
-      if (s.has("scenario") && s.at("scenario").as_string() == name) return &s;
-    }
-    return nullptr;
-  };
-
   const Json& cur = current.at("scenarios");
   for (std::size_t i = 0; i < cur.size(); ++i) {
     const Json& c = cur.at(i);
@@ -236,8 +246,66 @@ std::string perf_diff_text(const Json& baseline, const Json& current) {
   return out;
 }
 
-LatencyBudgetCheck latency_budget_check(const Json& budget, const Json& report) {
-  LatencyBudgetCheck out;
+PerfCheck perf_deterministic_check(const Json& baseline, const Json& current) {
+  PerfCheck out;
+  std::vector<std::string> failures;
+  if (!baseline.has("config") || !current.has("config") ||
+      !(baseline.at("config") == current.at("config")))
+    failures.push_back("config differs from the baseline's (" +
+                       (baseline.has("config") ? baseline.at("config").dump() : "none") +
+                       " vs " + (current.has("config") ? current.at("config").dump() : "none") +
+                       ")");
+  if (!baseline.has("scenarios") || !current.has("scenarios")) {
+    failures.push_back("malformed report: missing \"scenarios\"");
+  } else {
+    const auto names_of = [](const Json& report) {
+      std::vector<std::string> names;
+      const Json& arr = report.at("scenarios");
+      for (std::size_t i = 0; i < arr.size(); ++i)
+        names.push_back(arr.at(i).has("scenario") ? arr.at(i).at("scenario").as_string() : "?");
+      return names;
+    };
+    for (const std::string& name : names_of(current))
+      if (find_scenario(baseline, name) == nullptr)
+        failures.push_back(name + ": not in the baseline");
+    for (const std::string& name : names_of(baseline)) {
+      const Json* b = find_scenario(baseline, name);
+      const Json* c = find_scenario(current, name);
+      if (c == nullptr) {
+        failures.push_back(name + ": missing from this run");
+        continue;
+      }
+      if (!b->has("deterministic") || !c->has("deterministic")) {
+        failures.push_back(name + ": no \"deterministic\" block");
+        continue;
+      }
+      const Json& bd = b->at("deterministic");
+      const Json& cd = c->at("deterministic");
+      for (const auto& [key, want] : bd.members()) {
+        if (!cd.has(key))
+          failures.push_back(name + ": deterministic." + key + " missing from this run");
+        else if (!(cd.at(key) == want))
+          failures.push_back(name + ": deterministic." + key + " " + want.dump() + " -> " +
+                             cd.at(key).dump());
+      }
+      for (const auto& [key, value] : cd.members())
+        if (!bd.has(key))
+          failures.push_back(name + ": deterministic." + key + " not in the baseline");
+    }
+  }
+  out.ok = failures.empty();
+  if (out.ok) {
+    out.text = "deterministic block check OK: every scenario matches the baseline exactly\n";
+  } else {
+    out.text = "deterministic block check FAIL (" + std::to_string(failures.size()) +
+               " difference" + (failures.size() == 1 ? "" : "s") + "):\n";
+    for (const std::string& f : failures) out.text += "  " + f + "\n";
+  }
+  return out;
+}
+
+PerfCheck latency_budget_check(const Json& budget, const Json& report) {
+  PerfCheck out;
   const auto fail = [&](const std::string& why) {
     out.ok = false;
     out.text = "latency budget FAIL: " + why + "\n";

@@ -7,14 +7,16 @@
 // assignment-latency distribution (p50/p90/p99/max from the
 // obs::Histogram), the engine's phase-timing totals, and a small block of
 // *deterministic* companions (calls, events, replans, simplex iterations,
-// LU refactorizations) that anchor cross-machine comparisons: when the
-// deterministic block differs, the workload changed and throughput deltas
-// are not comparable.
+// LU refactorizations and kernel work) that anchor cross-machine
+// comparisons: when the deterministic block differs, the workload or the
+// pivot path changed and throughput deltas are not comparable.
 //
-// The diff against a committed baseline is informational by design — wall
-// clock varies across machines and CI hosts — so perf_diff_text never
-// influences an exit code; it exists to make the performance trajectory
-// *visible* in every CI run, not to gate merges (docs/observability.md).
+// The wall-clock diff against a committed baseline is informational by
+// design — wall clock varies across machines and CI hosts — so
+// perf_diff_text never influences an exit code; it exists to make the
+// performance trajectory *visible* in every CI run. The deterministic
+// blocks are gated exactly by perf_deterministic_check
+// (docs/observability.md).
 #pragma once
 
 #include <string>
@@ -80,10 +82,20 @@ inline constexpr int kPerfSchemaVersion = 1;
 // config key pinned by the budget differing in the report (a p99 is only
 // meaningful at its pinned offered load and window layout), or a
 // schema-version mismatch all fail, they are not notes.
-struct LatencyBudgetCheck {
+struct PerfCheck {
   bool ok = false;
   std::string text;  // human-readable verdict, pass or fail
 };
-[[nodiscard]] LatencyBudgetCheck latency_budget_check(const Json& budget, const Json& report);
+[[nodiscard]] PerfCheck latency_budget_check(const Json& budget, const Json& report);
+
+// Exact gate on the deterministic blocks behind `bench_sim_scenarios
+// --perf-baseline PATH --check`: fails on a config that differs from the
+// baseline's, on a scenario present in only one of the two reports, and on
+// any key of a scenario's `deterministic` block that is missing on one side
+// or differs in value, naming the scenario and the key. The block is a
+// pure function of the workload and the code (pivots, refactorizations,
+// kernel work, the run checksum), so any difference means the pivot path
+// or the kernel work changed. Wall-clock fields are never compared.
+[[nodiscard]] PerfCheck perf_deterministic_check(const Json& baseline, const Json& current);
 
 }  // namespace titan::sweep

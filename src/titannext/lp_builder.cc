@@ -379,6 +379,11 @@ void accumulate_solution_stats(LpPlanResult& r, const lp::Solution& sol) {
   r.phase1_iterations += sol.phase1_iterations;
   r.stall_pivots += sol.stall_pivots;
   r.bland_pivots += sol.bland_pivots;
+  r.eta_nonzeros += sol.eta_nonzeros;
+  r.solve_positions += sol.solve_positions;
+  r.rejected_iterations += sol.rejected_iterations;
+  r.rejected_refactorizations += sol.rejected_refactorizations;
+  r.rejected_seconds += sol.rejected_seconds;
 }
 
 // Snapshots a solved model's identity + basis into a warm context for the

@@ -77,6 +77,15 @@ struct LpPlanResult {
   int refactorizations = 0;  // deterministic, like `iterations`
   int iterations = 0;
   int phase1_iterations = 0;
+  // Kernel work (see lp::Solution), deterministic like `iterations`.
+  std::int64_t eta_nonzeros = 0;
+  std::int64_t solve_positions = 0;
+  // Pivots, factorizations and seconds spent by rejected warm attempts
+  // before their cold fallbacks (not counted in `iterations` /
+  // `refactorizations`).
+  int rejected_iterations = 0;
+  int rejected_refactorizations = 0;
+  double rejected_seconds = 0.0;
   // Solver observability, summed across every LP the plan solve ran (one
   // for a monolithic solve; per-block + coupling for a decomposed one).
   // See lp::Solution for the per-solve meanings.

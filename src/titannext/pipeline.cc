@@ -74,6 +74,11 @@ DayPlan TitanNextPipeline::plan_from_counts(const workload::Trace& trace,
     day.lp_refactorizations = result.refactorizations;
     day.lp_iterations = result.iterations;
     day.lp_phase1_iterations = result.phase1_iterations;
+    day.lp_eta_nonzeros = result.eta_nonzeros;
+    day.lp_solve_positions = result.solve_positions;
+    day.lp_rejected_iterations = result.rejected_iterations;
+    day.lp_rejected_refactorizations = result.rejected_refactorizations;
+    day.lp_rejected_seconds += result.rejected_seconds;
     day.lp_blocks_solved = result.blocks_solved;
     day.lp_warm_started = result.warm_started;
     day.lp_attempts = attempt + 1;

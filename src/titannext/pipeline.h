@@ -8,6 +8,7 @@
 // with fresh estimates — re-planning frequency is the caller's loop.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <vector>
@@ -45,6 +46,13 @@ struct DayPlan {
   int lp_iterations = 0;          // simplex iterations of the accepted solve
   int lp_phase1_iterations = 0;   // phase-1 share (for warm-started solves:
                                   // the feasibility-restoration iterations)
+  // Kernel work and rejected warm attempts of the accepted solve (see
+  // LpPlanResult); the rejected seconds accumulate across attempts.
+  std::int64_t lp_eta_nonzeros = 0;
+  std::int64_t lp_solve_positions = 0;
+  int lp_rejected_iterations = 0;
+  int lp_rejected_refactorizations = 0;
+  double lp_rejected_seconds = 0.0;
   int lp_blocks_solved = 0;  // region blocks solved by the decomposed path
   // Always 0: the dual simplex and candidate-column pruning are gone;
   // perfbench still reads both.

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "core/rng.h"
@@ -14,6 +17,115 @@
 #include "lp/sparse.h"
 
 namespace titan::lp {
+
+// The dense FTRAN/BTRAN/update kernels BasisLu ran before its solves became
+// hypersparse: every pass loops over all m positions. They run here on the
+// factors of a BasisLu, with an eta file of their own, as the oracle the
+// hypersparse kernels must match value for value (a zero may differ in
+// sign). Construct one per factorization.
+class DenseBasisLuReference {
+ public:
+  explicit DenseBasisLuReference(const BasisLu& lu) : lu_(lu) {}
+
+  void ftran(std::vector<double>& x) const {
+    const int m = lu_.m_;
+    // Forward: apply L^{-1} in original row space.
+    for (int k = 0; k < m; ++k) {
+      const double xk = x[static_cast<std::size_t>(lu_.pivot_row_of_[static_cast<std::size_t>(k)])];
+      if (xk == 0.0) continue;
+      for (int t = lu_.l_col_ptr_[static_cast<std::size_t>(k)];
+           t < lu_.l_col_ptr_[static_cast<std::size_t>(k) + 1]; ++t)
+        x[static_cast<std::size_t>(lu_.l_rows_[static_cast<std::size_t>(t)])] -=
+            lu_.l_vals_[static_cast<std::size_t>(t)] * xk;
+    }
+    // Gather into pivot coordinates, then backward U solve.
+    std::vector<double> y(static_cast<std::size_t>(m));
+    for (int k = 0; k < m; ++k)
+      y[static_cast<std::size_t>(k)] =
+          x[static_cast<std::size_t>(lu_.pivot_row_of_[static_cast<std::size_t>(k)])];
+    for (int k = m - 1; k >= 0; --k) {
+      const double t = y[static_cast<std::size_t>(k)] / lu_.u_diag_[static_cast<std::size_t>(k)];
+      y[static_cast<std::size_t>(k)] = t;
+      if (t == 0.0) continue;
+      for (int q = lu_.u_col_ptr_[static_cast<std::size_t>(k)];
+           q < lu_.u_col_ptr_[static_cast<std::size_t>(k) + 1]; ++q)
+        y[static_cast<std::size_t>(lu_.u_rows_[static_cast<std::size_t>(q)])] -=
+            lu_.u_vals_[static_cast<std::size_t>(q)] * t;
+    }
+    // Undo the column ordering.
+    for (int k = 0; k < m; ++k)
+      x[static_cast<std::size_t>(lu_.col_order_[static_cast<std::size_t>(k)])] =
+          y[static_cast<std::size_t>(k)];
+    // Eta updates, oldest first.
+    for (const auto& eta : etas_) {
+      const double t = x[static_cast<std::size_t>(eta.pivot_pos)] / eta.pivot_value;
+      if (t != 0.0) {
+        for (const auto& [pos, v] : eta.others) x[static_cast<std::size_t>(pos)] -= v * t;
+      }
+      x[static_cast<std::size_t>(eta.pivot_pos)] = t;
+    }
+  }
+
+  void btran(std::vector<double>& y) const {
+    const int m = lu_.m_;
+    // Eta transposes, newest first.
+    for (auto it = etas_.rbegin(); it != etas_.rend(); ++it) {
+      double acc = y[static_cast<std::size_t>(it->pivot_pos)];
+      for (const auto& [pos, v] : it->others) acc -= v * y[static_cast<std::size_t>(pos)];
+      y[static_cast<std::size_t>(it->pivot_pos)] = acc / it->pivot_value;
+    }
+    // U^T forward solve in pivot coordinates.
+    std::vector<double> t(static_cast<std::size_t>(m), 0.0);
+    for (int k = 0; k < m; ++k) {
+      double acc = y[static_cast<std::size_t>(lu_.col_order_[static_cast<std::size_t>(k)])];
+      for (int q = lu_.u_col_ptr_[static_cast<std::size_t>(k)];
+           q < lu_.u_col_ptr_[static_cast<std::size_t>(k) + 1]; ++q)
+        acc -= lu_.u_vals_[static_cast<std::size_t>(q)] *
+               t[static_cast<std::size_t>(lu_.u_rows_[static_cast<std::size_t>(q)])];
+      t[static_cast<std::size_t>(k)] = acc / lu_.u_diag_[static_cast<std::size_t>(k)];
+    }
+    // Scatter to original rows, then L^T backward pass.
+    std::vector<double> w(static_cast<std::size_t>(m), 0.0);
+    for (int k = 0; k < m; ++k)
+      w[static_cast<std::size_t>(lu_.pivot_row_of_[static_cast<std::size_t>(k)])] =
+          t[static_cast<std::size_t>(k)];
+    for (int k = m - 1; k >= 0; --k) {
+      const auto pr = static_cast<std::size_t>(lu_.pivot_row_of_[static_cast<std::size_t>(k)]);
+      double acc = w[pr];
+      for (int q = lu_.l_col_ptr_[static_cast<std::size_t>(k)];
+           q < lu_.l_col_ptr_[static_cast<std::size_t>(k) + 1]; ++q)
+        acc -= lu_.l_vals_[static_cast<std::size_t>(q)] *
+               w[static_cast<std::size_t>(lu_.l_rows_[static_cast<std::size_t>(q)])];
+      w[pr] = acc;
+    }
+    y = std::move(w);
+  }
+
+  bool update(int leaving_pos, const std::vector<double>& alpha, double pivot_tolerance = 1e-9) {
+    const double pivot = alpha[static_cast<std::size_t>(leaving_pos)];
+    if (std::abs(pivot) < pivot_tolerance) return false;
+    Eta eta;
+    eta.pivot_pos = leaving_pos;
+    eta.pivot_value = pivot;
+    for (int i = 0; i < lu_.m_; ++i) {
+      if (i == leaving_pos) continue;
+      const double v = alpha[static_cast<std::size_t>(i)];
+      if (v != 0.0) eta.others.emplace_back(i, v);
+    }
+    etas_.push_back(std::move(eta));
+    return true;
+  }
+
+ private:
+  struct Eta {
+    int pivot_pos;
+    double pivot_value;
+    std::vector<std::pair<int, double>> others;  // (pos, alpha[pos]) off-pivot
+  };
+  const BasisLu& lu_;
+  std::vector<Eta> etas_;
+};
+
 namespace {
 
 TEST(SparseMatrixTest, BuildsFromTripletsAndSumsDuplicates) {
@@ -162,9 +274,9 @@ TEST_P(BasisLuRandomTest, EtaUpdateMatchesRefactorization) {
   }
   // FTRAN the new column with the current factorization.
   std::vector<double> alpha = extra_col;
-  lu.ftran(alpha);
+  const std::span<const int> nz = lu.ftran(alpha);
   if (std::abs(alpha[static_cast<std::size_t>(r)]) < 1e-6) GTEST_SKIP();
-  ASSERT_TRUE(lu.update(r, alpha));
+  ASSERT_TRUE(lu.update(r, alpha, nz));
 
   // Reference: dense basis with column r replaced.
   auto dense2 = rb.dense;
@@ -196,6 +308,141 @@ TEST_P(BasisLuRandomTest, EtaUpdateMatchesRefactorization) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, BasisLuRandomTest, ::testing::Range(0, 8));
+
+// --- hypersparse kernels vs the dense oracle ---------------------------------
+
+// An LP-shaped matrix: m unit columns (slacks, sign +-1) followed by
+// `structurals` columns of 1-4 random entries.
+SparseMatrix lp_shaped_matrix(int m, int structurals, core::Rng& rng) {
+  std::vector<SparseMatrix::Triplet> trips;
+  for (int i = 0; i < m; ++i) trips.push_back({i, i, rng.chance(0.5) ? 1.0 : -1.0});
+  for (int j = 0; j < structurals; ++j) {
+    const int entries = static_cast<int>(rng.uniform_int(1, 4));
+    for (int e = 0; e < entries; ++e)
+      trips.push_back({static_cast<int>(rng.uniform_int(0, m - 1)), m + j,
+                       rng.uniform(0.2, 2.0) * (rng.chance(0.3) ? -1.0 : 1.0)});
+  }
+  return SparseMatrix::from_triplets(m, m + structurals, std::move(trips));
+}
+
+// A unit vector or one with 2-3 nonzeros, the shapes the simplex solves.
+std::vector<double> sparse_rhs(int m, core::Rng& rng) {
+  std::vector<double> v(static_cast<std::size_t>(m), 0.0);
+  const int entries = static_cast<int>(rng.uniform_int(1, 3));
+  for (int e = 0; e < entries; ++e)
+    v[static_cast<std::size_t>(rng.uniform_int(0, m - 1))] =
+        entries == 1 ? 1.0 : rng.uniform(-3.0, 3.0);
+  return v;
+}
+
+::testing::AssertionResult same_values(const std::vector<double>& got,
+                                       const std::vector<double>& want) {
+  for (std::size_t i = 0; i < want.size(); ++i)
+    if (!(got[i] == want[i]))  // == : a zero of either sign matches
+      return ::testing::AssertionFailure()
+             << "entry " << i << ": " << got[i] << " vs the dense " << want[i];
+  return ::testing::AssertionSuccess();
+}
+
+std::vector<int> nonzeros_of(const std::vector<double>& x) {
+  std::vector<int> nz;
+  for (std::size_t i = 0; i < x.size(); ++i)
+    if (x[i] != 0.0) nz.push_back(static_cast<int>(i));
+  return nz;
+}
+
+class BasisLuOracleTest : public ::testing::TestWithParam<int> {};
+
+// On random LP-shaped bases, through eta chains as long as the simplex lets
+// them grow, ftran and btran return exactly what the dense kernels return,
+// ftran's pattern is exactly the ascending nonzero set of its result, and
+// update counts the eta entries it appends.
+TEST_P(BasisLuOracleTest, HypersparseKernelsMatchDenseReference) {
+  core::Rng rng(9100 + static_cast<std::uint64_t>(GetParam()));
+  const int m = 10 + 37 * GetParam();
+  const SparseMatrix a = lp_shaped_matrix(m, 3 * m, rng);
+
+  // Seed basis: structural columns on ~60% of the positions, slacks on the
+  // rest; the deficiency repair swaps in slacks until it factorizes.
+  std::vector<int> basis(static_cast<std::size_t>(m));
+  std::vector<bool> in_basis(static_cast<std::size_t>(a.cols()), false);
+  for (int i = 0; i < m; ++i) {
+    int col = i;
+    if (rng.chance(0.6)) {
+      const int j = m + static_cast<int>(rng.uniform_int(0, 3 * m - 1));
+      if (!in_basis[static_cast<std::size_t>(j)]) col = j;
+    }
+    basis[static_cast<std::size_t>(i)] = col;
+    in_basis[static_cast<std::size_t>(col)] = true;
+  }
+  BasisLu lu;
+  for (int round = 0; round < 4; ++round) {
+    BasisLu::Deficiency def;
+    if (lu.factorize(a, basis, 1e-10, &def)) break;
+    for (std::size_t k = 0; k < def.positions.size(); ++k) {
+      const auto pos = static_cast<std::size_t>(def.positions[k]);
+      in_basis[static_cast<std::size_t>(basis[pos])] = false;
+      basis[pos] = def.rows[k];
+      in_basis[static_cast<std::size_t>(def.rows[k])] = true;
+    }
+  }
+
+  const int chain = SolveOptions{}.refactor_interval;
+  std::int64_t eta_entries = 0;
+  for (int cycle = 0; cycle < 2; ++cycle) {
+    ASSERT_TRUE(lu.factorize(a, basis));
+    DenseBasisLuReference dense(lu);
+    for (int step = 0; step < chain; ++step) {
+      std::vector<double> y = sparse_rhs(m, rng);
+      std::vector<double> y_dense = y;
+      lu.btran(y);
+      dense.btran(y_dense);
+      ASSERT_TRUE(same_values(y, y_dense)) << "btran, cycle " << cycle << " step " << step;
+
+      std::vector<double> x = sparse_rhs(m, rng);
+      std::vector<double> x_dense = x;
+      const std::span<const int> x_nz = lu.ftran(x);
+      dense.ftran(x_dense);
+      ASSERT_TRUE(same_values(x, x_dense)) << "ftran, cycle " << cycle << " step " << step;
+      ASSERT_EQ(std::vector<int>(x_nz.begin(), x_nz.end()), nonzeros_of(x));
+
+      // Pivot a random nonbasic structural in on its largest |alpha|.
+      const int entering = m + static_cast<int>(rng.uniform_int(0, 3 * m - 1));
+      if (in_basis[static_cast<std::size_t>(entering)]) continue;
+      std::vector<double> alpha(static_cast<std::size_t>(m), 0.0);
+      a.axpy_column(entering, 1.0, alpha);
+      std::vector<double> alpha_dense = alpha;
+      const std::span<const int> nz = lu.ftran(alpha);
+      dense.ftran(alpha_dense);
+      ASSERT_TRUE(same_values(alpha, alpha_dense)) << "entering column " << entering;
+      ASSERT_EQ(std::vector<int>(nz.begin(), nz.end()), nonzeros_of(alpha));
+      int leaving = -1;
+      for (const int i : nz)
+        if (leaving < 0 || std::abs(alpha[static_cast<std::size_t>(i)]) >
+                               std::abs(alpha[static_cast<std::size_t>(leaving)]))
+          leaving = i;
+      if (leaving < 0 || std::abs(alpha[static_cast<std::size_t>(leaving)]) < 1e-3) continue;
+      eta_entries += static_cast<std::int64_t>(nz.size());
+      ASSERT_TRUE(lu.update(leaving, alpha, nz));
+      ASSERT_TRUE(dense.update(leaving, alpha_dense));
+      in_basis[static_cast<std::size_t>(basis[static_cast<std::size_t>(leaving)])] = false;
+      in_basis[static_cast<std::size_t>(entering)] = true;
+      basis[static_cast<std::size_t>(leaving)] = entering;
+    }
+    // A dense right-hand side (x_B = B^{-1} b) through the full chain.
+    std::vector<double> b(static_cast<std::size_t>(m));
+    for (auto& v : b) v = rng.uniform(-5.0, 5.0);
+    std::vector<double> b_dense = b;
+    const std::span<const int> b_nz = lu.ftran(b);
+    dense.ftran(b_dense);
+    ASSERT_TRUE(same_values(b, b_dense));
+    ASSERT_EQ(std::vector<int>(b_nz.begin(), b_nz.end()), nonzeros_of(b));
+  }
+  EXPECT_EQ(lu.eta_nonzeros(), eta_entries);
+  EXPECT_GT(lu.solve_positions(), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Bases, BasisLuOracleTest, ::testing::Range(0, 8));
 
 TEST(BasisLuTest, ReportsSingularMatrix) {
   // Two identical columns.
@@ -430,6 +677,9 @@ TEST(SimplexWarmTest, MismatchedBasisFallsBackToColdSolve) {
   const Solution a = solve(m, wrong_count);
   EXPECT_EQ(a.status, SolveStatus::kOptimal);
   EXPECT_FALSE(a.warm_started);
+  EXPECT_EQ(a.warm_rejection, WarmRejection::kUnmappable);
+  EXPECT_EQ(a.rejected_iterations, 0);
+  EXPECT_EQ(a.rejected_refactorizations, 0);
   EXPECT_NEAR(a.objective, cold.objective, 1e-9);
 
   Basis bad_columns;
@@ -439,6 +689,7 @@ TEST(SimplexWarmTest, MismatchedBasisFallsBackToColdSolve) {
   const Solution b = solve(m, bad_columns);
   EXPECT_EQ(b.status, SolveStatus::kOptimal);
   EXPECT_FALSE(b.warm_started);
+  EXPECT_EQ(b.warm_rejection, WarmRejection::kUnmappable);
   EXPECT_NEAR(b.objective, cold.objective, 1e-9);
 
   Basis slack_on_eq;  // row 0 of the generator is an equality: no slack
@@ -447,6 +698,7 @@ TEST(SimplexWarmTest, MismatchedBasisFallsBackToColdSolve) {
   const Solution c = solve(m, slack_on_eq);
   EXPECT_EQ(c.status, SolveStatus::kOptimal);
   EXPECT_FALSE(c.warm_started);
+  EXPECT_EQ(c.warm_rejection, WarmRejection::kUnmappable);
   EXPECT_NEAR(c.objective, cold.objective, 1e-9);
 }
 
@@ -592,12 +844,21 @@ TEST(SimplexWarmTest, RhsDamagedSeedRepairsThroughRestoration) {
   EXPECT_NEAR(cold.objective, -5.0, 1e-7);  // y = 2.5
 
   // One damaged row of three is past the default 10% repair gate, which is
-  // sized for the plan LPs; open the gate so the repair itself is tested.
+  // sized for the plan LPs: the seed is rejected and the cold path answers.
+  const Solution gated = solve(after, base.basis);
+  ASSERT_EQ(gated.status, SolveStatus::kOptimal);
+  EXPECT_FALSE(gated.warm_started);
+  EXPECT_EQ(gated.warm_rejection, WarmRejection::kOverRepairLimit);
+  EXPECT_EQ(gated.rejected_refactorizations, 1);
+  EXPECT_NEAR(gated.objective, cold.objective, 1e-7);
+
+  // Open the gate so the repair itself is tested.
   SolveOptions opt;
   opt.warm_repair_limit = 1.0;
   const Solution warm = solve(after, base.basis, opt);
   ASSERT_EQ(warm.status, SolveStatus::kOptimal);
   EXPECT_TRUE(warm.warm_started);
+  EXPECT_EQ(warm.warm_rejection, WarmRejection::kNone);
   EXPECT_GE(warm.phase1_iterations, 1);
   EXPECT_NEAR(warm.objective, cold.objective, 1e-7);
   EXPECT_LE(after.max_violation(warm.x), 1e-6);
@@ -676,11 +937,13 @@ TEST(SimplexWarmTest, AllArtificialSeedFallsBackCold) {
   const Solution a = solve(mixed, all_art);
   ASSERT_EQ(a.status, SolveStatus::kOptimal);
   EXPECT_FALSE(a.warm_started);
+  EXPECT_EQ(a.warm_rejection, WarmRejection::kUnmappable);
   EXPECT_NEAR(a.objective, solve(mixed).objective, 1e-9);
 
   // All-equality model: the seed maps and factorizes, but every artificial
   // sits at its (positive) rhs — more hot rows than warm_repair_limit
-  // tolerates, and useless to the dual loop — so the solve reruns cold.
+  // tolerates — so the solve reruns cold. The rejected attempt factorized
+  // once and pivoted not at all.
   LpModel eq;
   for (int j = 0; j < 3; ++j) eq.add_variable(1.0);
   for (int i = 0; i < 3; ++i) {
@@ -692,6 +955,9 @@ TEST(SimplexWarmTest, AllArtificialSeedFallsBackCold) {
   const Solution b = solve(eq, eq_art);
   ASSERT_EQ(b.status, SolveStatus::kOptimal);
   EXPECT_FALSE(b.warm_started);
+  EXPECT_EQ(b.warm_rejection, WarmRejection::kOverRepairLimit);
+  EXPECT_EQ(b.rejected_iterations, 0);
+  EXPECT_EQ(b.rejected_refactorizations, 1);
   EXPECT_NEAR(b.objective, 3.0, 1e-7);
 }
 

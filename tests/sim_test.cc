@@ -1095,6 +1095,8 @@ TEST(SimObsTest, ZeroWallclockMasksEveryPerfTimingField) {
   ASSERT_FALSE(b.replan_stats.empty());
   b.replan_stats[0].refactor_seconds += 1.0;
   EXPECT_FALSE(a == b);
+  b.replan_stats[0].rejected_seconds += 1.0;
+  EXPECT_FALSE(a == b);
 
   // ...and zero_wallclock() must erase every one of those differences.
   a.zero_wallclock();

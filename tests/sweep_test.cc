@@ -628,5 +628,64 @@ TEST_F(LatencyBudgetTest, EnforcingFailureModesAreStrict) {
   EXPECT_FALSE(latency_budget_check(budget_json(), empty).ok);
 }
 
+// --- deterministic-block gate (bench_sim_scenarios --check) -------------
+
+// Two scenarios in the perf-report shape; wall-clock fields differ freely
+// between runs, the deterministic block must not.
+Json perf_report_fixture(double wall_seconds) {
+  char buf[1024];
+  std::snprintf(buf, sizeof buf, R"({
+    "schema_version": 1,
+    "config": {"peak_slot_calls": 200, "weeks": 1, "threads": 2, "seed": 2024},
+    "scenarios": [
+      {"scenario": "steady-week",
+       "deterministic": {"calls": 25459, "lp_iterations": 101743, "checksum": "9af1e6e37b7ad483"},
+       "throughput": {"wall_seconds": %.3f}},
+      {"scenario": "dc-drain",
+       "deterministic": {"calls": 25459, "lp_iterations": 155980, "checksum": "0123456789abcdef"},
+       "throughput": {"wall_seconds": %.3f}}
+    ]
+  })",
+                wall_seconds, wall_seconds);
+  return Json::parse(buf);
+}
+
+TEST(PerfDeterministicCheckTest, IdenticalBlocksPassWhateverTheWallClock) {
+  const auto check = perf_deterministic_check(perf_report_fixture(24.5), perf_report_fixture(11.0));
+  EXPECT_TRUE(check.ok) << check.text;
+}
+
+TEST(PerfDeterministicCheckTest, ChangedIterationCountFailsNamingScenarioAndKey) {
+  const Json baseline = perf_report_fixture(24.5);
+  Json current = perf_report_fixture(24.5);
+  Json scenarios = Json::array();
+  for (std::size_t i = 0; i < current.at("scenarios").size(); ++i) {
+    Json s = current.at("scenarios").at(i);
+    if (s.at("scenario").as_string() == "dc-drain") {
+      Json det = s.at("deterministic");
+      det.set("lp_iterations", Json::number(155981));
+      s.set("deterministic", std::move(det));
+    }
+    scenarios.push_back(std::move(s));
+  }
+  current.set("scenarios", std::move(scenarios));
+  const auto check = perf_deterministic_check(baseline, current);
+  EXPECT_FALSE(check.ok);
+  EXPECT_NE(check.text.find("dc-drain"), std::string::npos) << check.text;
+  EXPECT_NE(check.text.find("lp_iterations"), std::string::npos) << check.text;
+  EXPECT_EQ(check.text.find("steady-week"), std::string::npos) << check.text;
+}
+
+TEST(PerfDeterministicCheckTest, MissingScenarioFails) {
+  const Json baseline = perf_report_fixture(24.5);
+  Json current = perf_report_fixture(24.5);
+  Json only_first = Json::array();
+  only_first.push_back(current.at("scenarios").at(std::size_t{0}));
+  current.set("scenarios", std::move(only_first));
+  const auto check = perf_deterministic_check(baseline, current);
+  EXPECT_FALSE(check.ok);
+  EXPECT_NE(check.text.find("dc-drain"), std::string::npos) << check.text;
+}
+
 }  // namespace
 }  // namespace titan::sweep
